@@ -8,8 +8,14 @@
 //!
 //! The *localized* variant (the paper's Algorithm 1) tests only one-hop
 //! neighbors both as ball-defining points and as emptiness witnesses.
+//!
+//! [`ubf_test`] walks the node's candidate balls with
+//! [`ballfit_geom::sphere::CandidateBalls`], which builds them four
+//! neighbour pairs per pass, and scans each ball's witnesses in 4-point
+//! struct-of-arrays chunks. Both are bit-identical to the per-pair
+//! formulation the tests keep as the reference.
 
-use ballfit_geom::sphere::{balls_through_offsets, Offset};
+use ballfit_geom::sphere::CandidateBalls;
 use ballfit_geom::Vec3;
 
 use crate::config::UbfConfig;
@@ -35,9 +41,10 @@ pub struct UbfOutcome {
 /// every pair of its neighbours, in pair order; a ball is empty when no
 /// member lies strictly inside it (`Sphere::strictly_contains` with the
 /// configured tolerance). The kernel computes each neighbour's offset
-/// once and scans the witnesses in branch-free chunks; the outcome,
-/// `balls_tested` included, is bit-identical to that per-pair
-/// formulation, which the tests keep as the reference.
+/// once, builds the balls of four pairs per pass, and scans the witnesses
+/// in branch-free chunks; the outcome, `balls_tested` included, is
+/// bit-identical to that per-pair formulation, which the tests keep as
+/// the reference.
 ///
 /// # Panics
 ///
@@ -59,26 +66,16 @@ pub fn ubf_test(
     let tol = cfg.containment_tolerance * radio_range;
     // `Sphere::strictly_contains`'s bound, hoisted out of the scan.
     let limit = (r - tol) * (r - tol);
-    let me = coords[self_index];
-    let offsets: Vec<Offset> = coords.iter().map(|&p| Offset::new(me, p)).collect();
+    let balls = CandidateBalls::new(coords, self_index);
     let witnesses = Witnesses::new(coords);
 
     let mut balls_tested = 0usize;
-    for j in 0..n {
-        if j == self_index {
-            continue;
-        }
-        for k in (j + 1)..n {
-            if k == self_index {
-                continue;
-            }
-            for ball in &balls_through_offsets(me, offsets[j], offsets[k], r) {
-                balls_tested += 1;
-                if !witnesses.any_within(ball.center, limit) {
-                    return UbfOutcome { is_boundary: true, balls_tested };
-                }
-            }
-        }
+    let empty_ball = balls.any(r, |ball| {
+        balls_tested += 1;
+        !witnesses.any_within(ball.center, limit)
+    });
+    if empty_ball {
+        return UbfOutcome { is_boundary: true, balls_tested };
     }
     if balls_tested == 0 {
         // Every triple was degenerate (collinear neighborhood or all
@@ -415,6 +412,90 @@ mod tests {
         // Every shape but "fewer than 3" actually built balls.
         assert!(shapes[0] > 0 && shapes[1] > 0 && shapes[2] > 0 && shapes[4] > 0, "{shapes:?}");
         assert_eq!(shapes[3], 0);
+
+        // The kernel computes the pairs (j, k..k + 4) of one j together, so
+        // pair (j, k) of the node's other members sits in lane slot
+        // (k − j − 1) mod 4. Sizes 3–12 give every remainder of the pair
+        // count, and every slot must see each kind of pair. Tolerance
+        // −range puts every defining point inside its own ball, so the
+        // `full_walk` configuration visits every pair.
+        let full_walk = UbfConfig { containment_tolerance: -1.0, ..cfg() };
+        let mut slots = [[0usize; 4]; 4];
+        for seed in 0..400u64 {
+            let range = [1.0, 0.219564, 37.5][seed as usize % 3];
+            let size = 3 + seed as usize % 10;
+            for c in configs.iter().chain([&full_walk]) {
+                let r = c.ball_radius(range);
+                let (coords, me) = lane_slot_neighborhood(seed, size, range, r);
+                let got = ubf_test(&coords, me, range, c);
+                assert_eq!(got, reference_ubf(&coords, me, range, c), "seed {seed}, {c:?}");
+            }
+            let r = full_walk.ball_radius(range);
+            let (coords, me) = lane_slot_neighborhood(seed, size, range, r);
+            let others: Vec<Vec3> =
+                coords.iter().enumerate().filter(|&(i, _)| i != me).map(|(_, &p)| p).collect();
+            for j in 0..others.len() {
+                for k in (j + 1)..others.len() {
+                    let kind = pair_kind(coords[me], others[j], others[k], r);
+                    slots[(k - j - 1) % 4][kind] += 1;
+                }
+            }
+        }
+        assert!(slots.iter().flatten().all(|&count| count > 0), "{slots:?}");
+    }
+
+    /// The pair's kind: degenerate triangle, circumradius above `r`,
+    /// tangent (one ball), or two balls.
+    fn pair_kind(me: Vec3, b: Vec3, c: Vec3, r: f64) -> usize {
+        use ballfit_geom::sphere::balls_through_three_points;
+        use ballfit_geom::Triangle;
+        match balls_through_three_points(me, b, c, r).len() {
+            0 if Triangle::new(me, b, c).circumcenter().is_none() => 0,
+            0 => 1,
+            1 => 2,
+            _ => 3,
+        }
+    }
+
+    /// A seeded neighbourhood of `size` members that mixes every kind of
+    /// pair: points on one radius-`r` circle through the node (tangent
+    /// pairs), duplicates and points collinear with the node (degenerate
+    /// pairs), points far apart (circumradius above `r`) and generic
+    /// points, in random order. Returns the coordinates and the node's
+    /// index.
+    fn lane_slot_neighborhood(seed: u64, size: usize, range: f64, r: f64) -> (Vec<Vec3>, usize) {
+        use ballfit_rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1A7E);
+        let unit = |rng: &mut StdRng| {
+            let v = Vec3::new(
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+            );
+            v.try_normalized(1e-3).unwrap_or(Vec3::X)
+        };
+        let origin = Vec3::new(rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0), 0.3);
+        let u = unit(&mut rng);
+        let v = u.cross(unit(&mut rng)).try_normalized(1e-3).unwrap_or(u.any_orthonormal());
+        // The circle of radius r in the (u, v) plane that passes through
+        // the node at angle 0.
+        let on_circle = |t: f64| origin + (u * (t.cos() - 1.0) + v * t.sin()) * r;
+        let mut coords = vec![origin];
+        while coords.len() < size {
+            let p = match rng.gen_range(0..5) {
+                0 | 1 => on_circle(rng.gen_range(0.3..6.0)),
+                2 => coords[rng.gen_range(0..coords.len())],
+                3 => {
+                    let q = coords[rng.gen_range(0..coords.len())];
+                    origin + (q - origin) * rng.gen_range(-1.5..1.5)
+                }
+                _ => origin + unit(&mut rng) * (range * rng.gen_range(0.05..2.5)),
+            };
+            coords.push(p);
+        }
+        let self_index = rng.gen_range(0..coords.len());
+        coords.swap(0, self_index);
+        (coords, self_index)
     }
 
     #[test]
@@ -453,5 +534,39 @@ mod tests {
                 assert!(boundary > 0, "{scenario}: no candidates, {source:?}");
             }
         }
+    }
+
+    /// E21's 10⁴-node sphere rung with ground-truth frames: every node
+    /// matches the reference, and the totals match the committed
+    /// `results/scale_ladder.json` row.
+    #[test]
+    fn kernel_matches_the_per_pair_reference_on_the_e21_sphere() {
+        use crate::config::CoordinateSource;
+        use crate::localizer::neighborhood_frame_view;
+        use crate::view::NetView;
+        use ballfit_netgen::builder::{NetworkBuilder, Placement};
+        use ballfit_netgen::scenario::Scenario;
+
+        let model = NetworkBuilder::new(Scenario::SolidSphere)
+            .surface_nodes(650)
+            .interior_nodes(9_350)
+            .target_degree(18.5)
+            .placement(Placement::Uniform)
+            .require_connected(false)
+            .seed(911)
+            .build()
+            .expect("E21 calibration rung");
+        let view = NetView::from_model(&model);
+        let range = view.radio_range();
+        let (mut candidates, mut balls) = (0, 0);
+        for node in 0..view.len() {
+            let f = neighborhood_frame_view(&view, node, &CoordinateSource::GroundTruth, 1)
+                .expect("ground-truth frames always exist");
+            let got = ubf_test(&f.coords, f.self_index, range, &cfg());
+            assert_eq!(got, reference_ubf(&f.coords, f.self_index, range, &cfg()), "node {node}");
+            candidates += usize::from(got.is_boundary);
+            balls += got.balls_tested;
+        }
+        assert_eq!((candidates, balls), (2_976, 2_638_079));
     }
 }

@@ -11,7 +11,14 @@
 //! (offsets + neighbor arena) in two counting passes with no per-node or
 //! transient pair allocation — the million-node path, where peak RSS is
 //! essentially the size of the finished arena.
+//!
+//! The cells live in a `BTreeMap`, which point inserts, removals and
+//! queries need. An adjacency build instead walks a snapshot of the map —
+//! keys in order, members and their positions flattened — finding each
+//! cell's neighbour cells with one forward-only cursor per half-offset,
+//! in the map walk's pair order.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::Vec3;
@@ -106,11 +113,11 @@ impl SpatialGrid {
     }
 
     /// The hoisted offset table when it covers `reach`, else a fresh one.
-    fn offsets_for(&self, reach: i64) -> std::borrow::Cow<'_, [(i64, i64, i64)]> {
+    fn offsets_for(&self, reach: i64) -> Cow<'_, [(i64, i64, i64)]> {
         if reach <= 1 {
-            std::borrow::Cow::Borrowed(&self.half_offsets_r1)
+            Cow::Borrowed(&self.half_offsets_r1)
         } else {
-            std::borrow::Cow::Owned(half_offsets(reach))
+            Cow::Owned(half_offsets(reach))
         }
     }
 
@@ -197,39 +204,35 @@ impl SpatialGrid {
         out
     }
 
-    /// Visits every point pair within `radius` exactly once (unordered),
-    /// scanning each occupied cell against its half-neighborhood.
-    fn for_each_pair_within<F: FnMut(usize, usize)>(&self, points: &[Vec3], radius: f64, mut f: F) {
-        let r2 = radius * radius;
-        let offsets = self.offsets_for(self.reach_for(radius));
-        for (&(x, y, z), bucket) in &self.cells {
-            for &(dx, dy, dz) in offsets.iter() {
-                let same = (dx, dy, dz) == (0, 0, 0);
-                let other = if same {
-                    bucket
-                } else {
-                    match self.cells.get(&(x + dx, y + dy, z + dz)) {
-                        Some(b) => b,
-                        None => continue,
-                    }
-                };
-                for (ai, &i) in bucket.iter().enumerate() {
-                    let start = if same { ai + 1 } else { 0 };
-                    for &j in &other[start..] {
-                        if points[i].distance_squared(points[j]) <= r2 {
-                            f(i, j);
-                        }
-                    }
-                }
-            }
+    /// The point pairs within `radius`, ready to walk: the occupied cells
+    /// flattened in key order, with the half-neighbourhood offsets that
+    /// `radius` needs.
+    fn pairs_within(&self, points: &[Vec3], radius: f64) -> PairWalk<'_> {
+        let total = self.cells.values().map(Vec::len).sum();
+        let mut walk = PairWalk {
+            offsets: self.offsets_for(self.reach_for(radius)),
+            r2: radius * radius,
+            len: points.len(),
+            keys: Vec::with_capacity(self.cells.len()),
+            starts: Vec::with_capacity(self.cells.len() + 1),
+            members: Vec::with_capacity(total),
+            positions: Vec::with_capacity(total),
+        };
+        walk.starts.push(0);
+        for (&key, bucket) in &self.cells {
+            walk.keys.push(key);
+            walk.members.extend_from_slice(bucket);
+            walk.positions.extend(bucket.iter().map(|&i| points[i]));
+            walk.starts.push(walk.members.len());
         }
+        walk
     }
 
     /// Builds the full fixed-radius adjacency: `result[i]` holds the sorted
     /// indices of every point within `radius` of point `i` (excluding `i`).
     pub fn adjacency(&self, points: &[Vec3], radius: f64) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); points.len()];
-        self.for_each_pair_within(points, radius, |i, j| {
+        self.pairs_within(points, radius).for_each(|i, j| {
             adj[i].push(j);
             adj[j].push(i);
         });
@@ -243,12 +246,7 @@ impl SpatialGrid {
     /// [`SpatialGrid::adjacency_csr`] alone, for callers (range
     /// calibration) that only need degrees.
     pub fn adjacency_degrees(&self, points: &[Vec3], radius: f64) -> Vec<u32> {
-        let mut deg = vec![0u32; points.len()];
-        self.for_each_pair_within(points, radius, |i, j| {
-            deg[i] += 1;
-            deg[j] += 1;
-        });
-        deg
+        self.pairs_within(points, radius).degrees()
     }
 
     /// Builds the fixed-radius adjacency directly in CSR form: returns
@@ -265,7 +263,9 @@ impl SpatialGrid {
     /// `u32::MAX` (a ~4-billion-entry arena; far past any supported scene).
     pub fn adjacency_csr(&self, points: &[Vec3], radius: f64) -> (Vec<u32>, Vec<u32>) {
         assert!(points.len() <= u32::MAX as usize, "point count exceeds u32 index space");
-        let deg = self.adjacency_degrees(points, radius);
+        // One walk for both passes.
+        let pairs = self.pairs_within(points, radius);
+        let deg = pairs.degrees();
         let total: u64 = deg.iter().map(|&d| d as u64).sum();
         assert!(total <= u32::MAX as u64, "adjacency arena exceeds u32 index space");
         let mut offsets = Vec::with_capacity(points.len() + 1);
@@ -278,7 +278,7 @@ impl SpatialGrid {
         // Scatter: `cursor[i]` tracks the next free slot of point `i`.
         let mut cursor: Vec<u32> = offsets[..points.len()].to_vec();
         let mut arena = vec![0u32; total as usize];
-        self.for_each_pair_within(points, radius, |i, j| {
+        pairs.for_each(|i, j| {
             arena[cursor[i] as usize] = j as u32;
             cursor[i] += 1;
             arena[cursor[j] as usize] = i as u32;
@@ -288,6 +288,68 @@ impl SpatialGrid {
             arena[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
         (offsets, arena)
+    }
+}
+
+/// A [`SpatialGrid`]'s pairs within a radius, as a walk over its cells in
+/// key order: cell `c` has key `keys[c]` and members
+/// `members[starts[c]..starts[c + 1]]` in bucket order, whose points are
+/// copied alongside into `positions`.
+struct PairWalk<'a> {
+    offsets: Cow<'a, [(i64, i64, i64)]>,
+    r2: f64,
+    len: usize,
+    keys: Vec<(i64, i64, i64)>,
+    starts: Vec<usize>,
+    members: Vec<usize>,
+    positions: Vec<Vec3>,
+}
+
+impl PairWalk<'_> {
+    /// Visits every point pair within the radius exactly once (unordered),
+    /// scanning each occupied cell against the cells at its
+    /// half-neighbourhood offsets: cells in key order, offsets in order,
+    /// then the cell's members against the other cell's (against its own
+    /// later members at offset zero).
+    ///
+    /// Offset `o`'s neighbour keys `key + o` ascend with the cells, so one
+    /// forward-only cursor per offset finds them all in a single sweep of
+    /// `keys`.
+    fn for_each<F: FnMut(usize, usize)>(&self, mut f: F) {
+        let mut cursors = vec![0usize; self.offsets.len()];
+        for (cell, &(x, y, z)) in self.keys.iter().enumerate() {
+            let mine = self.starts[cell]..self.starts[cell + 1];
+            for (&(dx, dy, dz), cursor) in self.offsets.iter().zip(&mut cursors) {
+                let target = (x + dx, y + dy, z + dz);
+                while self.keys.get(*cursor).is_some_and(|&key| key < target) {
+                    *cursor += 1;
+                }
+                if self.keys.get(*cursor) != Some(&target) {
+                    continue;
+                }
+                let same = (dx, dy, dz) == (0, 0, 0);
+                let other_end = self.starts[*cursor + 1];
+                for a in mine.clone() {
+                    let start = if same { a + 1 } else { self.starts[*cursor] };
+                    let p = self.positions[a];
+                    for b in start..other_end {
+                        if p.distance_squared(self.positions[b]) <= self.r2 {
+                            f(self.members[a], self.members[b]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-point neighbour counts.
+    fn degrees(&self) -> Vec<u32> {
+        let mut deg = vec![0u32; self.len];
+        self.for_each(|i, j| {
+            deg[i] += 1;
+            deg[j] += 1;
+        });
+        deg
     }
 }
 
@@ -321,6 +383,110 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// The map walk the cursor walk replaced, kept as the reference: every
+    /// occupied cell in key order against its half-neighbourhood, each
+    /// neighbour cell found by a `BTreeMap` lookup. Returns the pairs in
+    /// visit order.
+    fn reference_pairs(grid: &SpatialGrid, points: &[Vec3], radius: f64) -> Vec<(usize, usize)> {
+        let r2 = radius * radius;
+        let mut pairs = Vec::new();
+        for (&(x, y, z), bucket) in &grid.cells {
+            for &(dx, dy, dz) in half_offsets(grid.reach_for(radius)).iter() {
+                let same = (dx, dy, dz) == (0, 0, 0);
+                let other = if same {
+                    bucket
+                } else {
+                    match grid.cells.get(&(x + dx, y + dy, z + dz)) {
+                        Some(b) => b,
+                        None => continue,
+                    }
+                };
+                for (ai, &i) in bucket.iter().enumerate() {
+                    let start = if same { ai + 1 } else { 0 };
+                    for &j in &other[start..] {
+                        if points[i].distance_squared(points[j]) <= r2 {
+                            pairs.push((i, j));
+                        }
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Seeded point sets for the cursor walk, each with a cell size and a
+    /// query radius.
+    fn walk_cases() -> Vec<(&'static str, Vec<Vec3>, f64, f64)> {
+        let mut rng = StdRng::seed_from_u64(0xC0250);
+        let mut duplicates = random_points(80, 21, 1.5);
+        for _ in 0..40 {
+            let p = duplicates[rng.gen_range(0..duplicates.len())];
+            duplicates.push(p);
+        }
+        let mut extreme = random_points(30, 22, 1.0);
+        for p in random_points(20, 23, 0.4) {
+            extreme.push(p + Vec3::new(1e300, 0.0, -1e300));
+        }
+        extreme.extend([
+            Vec3::new(1e300, 0.0, 0.0),
+            Vec3::new(1e300, 0.3, 0.0),
+            Vec3::new(-1e300, 0.0, 0.3),
+            Vec3::new(f64::MAX, f64::MAX, f64::MAX),
+            Vec3::new(f64::MIN, 0.0, f64::MAX),
+        ]);
+        let mut clusters = Vec::new();
+        for (seed, center) in
+            [Vec3::ZERO, Vec3::new(50.0, -30.0, 7.0), Vec3::new(-80.0, 0.5, 120.0)]
+                .iter()
+                .enumerate()
+        {
+            clusters
+                .extend(random_points(60, 30 + seed as u64, 1.2).into_iter().map(|p| p + *center));
+        }
+        vec![
+            ("reach 1", random_points(400, 24, 3.0), 1.0, 1.0),
+            ("reach 1, radius below the cell", random_points(300, 25, 2.0), 1.0, 0.6),
+            ("reach 2", random_points(300, 26, 2.0), 0.5, 0.9),
+            ("reach 3", random_points(200, 27, 1.5), 0.3, 0.8),
+            ("duplicate points", duplicates, 0.5, 0.5),
+            ("coordinates beyond KEY_CLAMP", extreme, 1.0, 1.0),
+            ("a single point", vec![Vec3::new(0.3, -0.2, 0.1)], 1.0, 1.0),
+            ("no points", Vec::new(), 1.0, 1.0),
+            ("far-apart clusters", clusters.clone(), 1.0, 1.0),
+            ("far-apart clusters, reach 2", clusters, 0.45, 0.8),
+        ]
+    }
+
+    #[test]
+    fn cursor_walk_matches_the_map_walk_and_brute_force() {
+        for (name, pts, cell, radius) in walk_cases() {
+            let grid = SpatialGrid::build(&pts, cell);
+            let want = reference_pairs(&grid, &pts, radius);
+            let mut visits = Vec::new();
+            grid.pairs_within(&pts, radius).for_each(|i, j| visits.push((i, j)));
+            assert_eq!(visits, want, "{name}: pair-visit order");
+
+            let mut adj = vec![Vec::new(); pts.len()];
+            for &(i, j) in &want {
+                adj[i].push(j);
+                adj[j].push(i);
+            }
+            for list in &mut adj {
+                list.sort_unstable();
+            }
+            assert_eq!(adj, brute_adjacency(&pts, radius), "{name}: reference vs brute force");
+            assert_eq!(grid.adjacency(&pts, radius), adj, "{name}: adjacency");
+            let degrees: Vec<u32> = adj.iter().map(|list| list.len() as u32).collect();
+            assert_eq!(grid.adjacency_degrees(&pts, radius), degrees, "{name}: degrees");
+            let (offsets, arena) = grid.adjacency_csr(&pts, radius);
+            assert_eq!(offsets.len(), pts.len() + 1, "{name}: CSR offsets");
+            for (i, list) in adj.iter().enumerate() {
+                let slice = &arena[offsets[i] as usize..offsets[i + 1] as usize];
+                assert!(slice.iter().map(|&v| v as usize).eq(list.iter().copied()), "{name}: {i}");
+            }
+        }
     }
 
     #[test]

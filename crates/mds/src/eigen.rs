@@ -35,9 +35,13 @@ impl EigenDecomposition {
 ///
 /// # Panics
 ///
-/// Panics if `m` is not symmetric within `1e-8`.
+/// Panics if `m` is not symmetric within `1e-8 · max(1, max |m_ij|)`.
 pub fn jacobi_eigen(m: &SquareMatrix) -> EigenDecomposition {
-    assert!(m.is_symmetric(1e-8), "jacobi_eigen requires a symmetric matrix");
+    // Relative to the largest entry: a double-centred matrix of squared
+    // distances grows with the square of the network's scale, and so does
+    // its rounding asymmetry. Never stricter than an absolute 1e-8.
+    let tol = 1e-8 * m.max_abs().max(1.0);
+    assert!(m.is_symmetric(tol), "jacobi_eigen requires a symmetric matrix");
     let n = m.n();
     let mut a = m.clone();
     // Row k of `vt` is column k of V.

@@ -82,16 +82,17 @@ impl LocalDistances {
         let n = self.len();
         let mut d = self.measured.clone();
         for k in 0..n {
-            for i in 0..n {
+            // Row k never changes in round k (d_kk = 0), so every other row
+            // reads it as a slice.
+            for i in (0..n).filter(|&i| i != k) {
                 let dik = d[(i, k)];
                 if !dik.is_finite() {
                     continue;
                 }
-                for j in 0..n {
-                    let via = dik + d[(k, j)];
-                    if via < d[(i, j)] {
-                        d[(i, j)] = via;
-                    }
+                let (row_i, row_k) = d.row_and(i, k);
+                for (x, &dkj) in row_i.iter_mut().zip(row_k) {
+                    let via = dik + dkj;
+                    *x = if via < *x { via } else { *x };
                 }
             }
         }

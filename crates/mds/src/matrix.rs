@@ -56,6 +56,27 @@ impl SquareMatrix {
         true
     }
 
+    /// The largest absolute entry, 0 for an empty matrix.
+    pub(crate) fn max_abs(&self) -> f64 {
+        self.data.iter().fold(0.0, |max, x| max.max(x.abs()))
+    }
+
+    /// Row `i`, mutable, next to row `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i ≠ k` and both are below `n`.
+    pub(crate) fn row_and(&mut self, i: usize, k: usize) -> (&mut [f64], &[f64]) {
+        assert!(i != k && i < self.n && k < self.n, "invalid row pair ({i}, {k})");
+        let n = self.n;
+        let (head, tail) = self.data.split_at_mut(i.max(k) * n);
+        if i < k {
+            (&mut head[i * n..(i + 1) * n], &tail[..n])
+        } else {
+            (&mut tail[..n], &head[k * n..(k + 1) * n])
+        }
+    }
+
     /// Matrix-vector product.
     ///
     /// # Panics

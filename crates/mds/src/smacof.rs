@@ -141,20 +141,28 @@ pub fn refine_weighted<W: Fn(usize, usize) -> bool>(
         }
     }
 
+    // `lengths[i * n + j]` is ‖x_i − x_j‖ of a measured pair as the last
+    // stress pass computed it, for both orientations. The next Guttman step
+    // runs on exactly those coordinates, and ‖z_j − z_i‖ has the bits of
+    // ‖z_i − z_j‖ (negation is exact), so it reads its lengths here.
+    let mut lengths = vec![0.0; n * n];
     let mut best = coords.to_vec();
-    let mut best_stress = pair_stress(coords, &pairs);
+    let mut best_stress = pair_stress(coords, &pairs, &mut lengths);
     let mut current = best_stress;
     let mut z = coords.to_vec();
     for _ in 0..config.max_iterations {
         z.copy_from_slice(coords);
-        for ((c, zi), mine) in coords.iter_mut().zip(&z).zip(&partners) {
+        let rows = lengths.chunks_exact(n);
+        for (((c, zi), mine), row) in coords.iter_mut().zip(&z).zip(&partners).zip(rows) {
             if mine.is_empty() {
                 continue;
             }
             let mut acc = Vec3::ZERO;
             for &(j, d) in mine {
+                // Per direction: one shared, negated delta would flip the
+                // sign of a zero component.
                 let delta = *zi - z[j];
-                let dist = delta.norm();
+                let dist = row[j];
                 let target = if dist > 1e-12 {
                     z[j] + delta * (d / dist)
                 } else {
@@ -164,7 +172,7 @@ pub fn refine_weighted<W: Fn(usize, usize) -> bool>(
             }
             *c = acc / mine.len() as f64;
         }
-        let next = pair_stress(coords, &pairs);
+        let next = pair_stress(coords, &pairs, &mut lengths);
         if next < best_stress {
             best_stress = next;
             best.copy_from_slice(coords);
@@ -179,11 +187,16 @@ pub fn refine_weighted<W: Fn(usize, usize) -> bool>(
 }
 
 /// Raw stress over an explicit list of `(i, j, d_ij)` pairs, summed in
-/// list order.
-fn pair_stress(coords: &[Vec3], pairs: &[(usize, usize, f64)]) -> f64 {
+/// list order, recording each pair's length in the row-major `n × n`
+/// table `lengths` under `(i, j)` and `(j, i)`.
+fn pair_stress(coords: &[Vec3], pairs: &[(usize, usize, f64)], lengths: &mut [f64]) -> f64 {
+    let n = coords.len();
     let mut s = 0.0;
     for &(i, j, d) in pairs {
-        let err = coords[i].distance(coords[j]) - d;
+        let dist = coords[i].distance(coords[j]);
+        lengths[i * n + j] = dist;
+        lengths[j * n + i] = dist;
+        let err = dist - d;
         s += err * err;
     }
     s
