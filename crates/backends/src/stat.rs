@@ -32,7 +32,7 @@
 
 use ballfit::detector::BoundaryDetection;
 use ballfit::grouping::group_boundaries;
-use ballfit::protocols::GroupingProtocol;
+use ballfit::protocols::run_grouping_protocol;
 use ballfit::view::NetView;
 use ballfit_obs::{Trace, TraceEvent};
 use ballfit_par::{par_map, Parallelism};
@@ -181,20 +181,13 @@ impl BoundaryBackend for StatisticalBackend {
         });
         trace.close();
 
-        let mut messages = stats.messages;
-        let mut bytes = stats.bytes;
-        let mut rounds = stats.rounds;
-
-        // Phase 3: grouping flood, same exchange as the reference
+        // Phase 3: grouping flood, same runner as the reference
         // pipeline so group costs are comparable.
-        let mut sim = Simulator::new(topo, |id| GroupingProtocol::new(id, boundary[id]));
-        trace.open("grouping");
-        let stats = sim.run_traced(view.len() + 2, trace);
-        trace.close();
-        assert!(stats.quiescent, "grouping flood must quiesce on a perfect radio");
-        messages += stats.messages;
-        bytes += stats.bytes;
-        rounds += stats.rounds;
+        let (_, grouping) = run_grouping_protocol(topo, &boundary, trace)
+            .expect("grouping flood must quiesce on a perfect radio");
+        let messages = stats.messages + grouping.messages;
+        let bytes = stats.bytes + grouping.bytes;
+        let rounds = stats.rounds + grouping.rounds;
 
         let groups = group_boundaries(topo, &boundary);
         let detection = BoundaryDetection {

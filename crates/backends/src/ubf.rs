@@ -7,28 +7,20 @@
 //! byte-identical by construction and pinned by `tests/backends.rs`.
 //! Costs are measured, not modeled: the adapter replays the three
 //! message exchanges the distributed pipeline performs (UBF distance
-//! tables, IFF fragment flood, grouping label flood) on the round-based
-//! simulator and sums their [`RunStats`]. Each exchange runs inside a
-//! span named after its protocol runner (`"ubf"`, `"iff"`,
-//! `"grouping"`), following the PR 5 convention that detector spans
-//! reuse runner span names so one summary row carries computation and
-//! traffic together.
+//! tables, IFF fragment flood, grouping label flood) through their
+//! perfect-radio runners in [`ballfit::protocols`] and sums their
+//! [`RunStats`](ballfit_wsn::sim::RunStats). Each runner's span
+//! (`"ubf"`, `"iff"`, `"grouping"`) reuses the detector's phase name,
+//! so one summary row carries computation and traffic together.
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
-use ballfit::protocols::{GroupingProtocol, UbfProtocol};
+use ballfit::protocols::{run_grouping_protocol, run_iff_protocol, run_ubf_protocol};
 use ballfit::view::NetView;
 use ballfit_obs::Trace;
 use ballfit_par::Parallelism;
-use ballfit_wsn::flood::FragmentFlood;
-use ballfit_wsn::sim::Simulator;
 
 use crate::{BackendDetection, BoundaryBackend};
-
-/// UBF exchanges quiesce after one broadcast round; small slack keeps
-/// the bound honest without inflating the round tally (quiescent runs
-/// stop early).
-const UBF_MAX_ROUNDS: usize = 4;
 
 /// The paper pipeline as a backend.
 #[derive(Debug, Clone, Copy)]
@@ -68,45 +60,18 @@ impl BoundaryBackend for UbfBackend {
             .with_parallelism(self.parallelism)
             .detect_view_traced(view, trace);
 
-        let mut messages = 0u64;
-        let mut bytes = 0u64;
-        let mut rounds = 0usize;
-
-        // UBF distance-table exchange: one broadcast per node, 2·|E|
-        // point-to-point messages on a perfect radio.
-        let states = UbfProtocol::for_view(view, &self.config.coordinates);
-        let mut sim = Simulator::new(view.topology(), |id| states[id].clone());
-        trace.open("ubf");
-        let stats = sim.run_traced(UBF_MAX_ROUNDS, trace);
-        trace.close();
-        assert!(stats.quiescent, "ubf exchange must quiesce on a perfect radio");
-        messages += stats.messages;
-        bytes += stats.bytes;
-        rounds += stats.rounds;
-
-        // IFF fragment flood over the UBF candidates, TTL-scoped.
-        let ttl = self.config.iff.ttl;
-        let mut sim =
-            Simulator::new(view.topology(), |id| FragmentFlood::new(detection.candidates[id], ttl));
-        trace.open("iff");
-        let stats = sim.run_traced(ttl as usize + 2, trace);
-        trace.close();
-        assert!(stats.quiescent, "iff flood must quiesce on a perfect radio");
-        messages += stats.messages;
-        bytes += stats.bytes;
-        rounds += stats.rounds;
-
-        // Grouping label flood over the surviving boundary set.
-        let mut sim =
-            Simulator::new(view.topology(), |id| GroupingProtocol::new(id, detection.boundary[id]));
-        trace.open("grouping");
-        let stats = sim.run_traced(view.len() + 2, trace);
-        trace.close();
-        assert!(stats.quiescent, "grouping flood must quiesce on a perfect radio");
-        messages += stats.messages;
-        bytes += stats.bytes;
-        rounds += stats.rounds;
-
+        let cfg = &self.config;
+        let topo = view.topology();
+        let (_, ubf) = run_ubf_protocol(view, &cfg.ubf, &cfg.coordinates, trace)
+            .expect("ubf exchange must quiesce on a perfect radio");
+        let (_, iff) = run_iff_protocol(topo, &detection.candidates, cfg.iff.ttl, trace)
+            .expect("iff flood must quiesce on a perfect radio");
+        let (_, grouping) = run_grouping_protocol(topo, &detection.boundary, trace)
+            .expect("grouping flood must quiesce on a perfect radio");
+        let runs = [ubf, iff, grouping];
+        let messages = runs.iter().map(|s| s.messages).sum();
+        let bytes = runs.iter().map(|s| s.bytes).sum();
+        let rounds = runs.iter().map(|s| s.rounds).sum();
         BackendDetection { detection, messages, bytes, rounds }
     }
 }

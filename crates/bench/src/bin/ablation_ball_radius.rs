@@ -2,7 +2,7 @@
 //! holes to be detected is adjustable by varying r. If one is interested
 //! in the boundary nodes of large holes only, a larger r can be chosen."
 //!
-//! On the one-hole network (hole radius 2 ≈ 2.2 radio ranges), sweeping
+//! On the one-hole network (hole radius 2 ≈ 1.21 radio ranges), sweeping
 //! the ball-radius factor should keep the outer boundary detected at every
 //! setting while the hole boundary disappears once the ball no longer fits
 //! into the hole.

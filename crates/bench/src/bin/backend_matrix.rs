@@ -36,7 +36,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ballfit_bench::{gallery_network, validate_and_exit, Parallelism};
+use ballfit_bench::{gallery_network, results_path, validate_and_exit, Parallelism};
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
@@ -365,13 +365,6 @@ fn push_rows(out: &mut String, rows: &[BackendRow]) {
     out.push(']');
 }
 
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    ballfit_bench::results_dir().join("backend_matrix.json")
-}
-
 fn main() {
     let mut smoke = false;
     let mut out: Option<PathBuf> = None;
@@ -542,7 +535,7 @@ fn main() {
     }
     body.push_str("  ]\n}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "backend_matrix.json");
     std::fs::write(&path, &body).expect("matrix JSON is writable");
     println!("wrote {}", path.display());
 }

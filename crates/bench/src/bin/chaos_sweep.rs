@@ -32,7 +32,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ballfit_bench::{validate_and_exit, Parallelism};
+use ballfit_bench::{results_path, validate_and_exit, Parallelism};
 
 use ballfit::chaos::{run_chaos, run_chaos_traced, ChaosConfig, ChaosReport, DegradeCause};
 use ballfit::config::DetectorConfig;
@@ -149,17 +149,6 @@ fn summarize(loss: f64, crash: f64, rate: f64, report: &ChaosReport) -> Cell {
         retry_exhausted: causes[2],
         truncated: causes[3],
     }
-}
-
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("chaos_sweep.json")
 }
 
 fn main() {
@@ -288,7 +277,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "chaos_sweep.json");
     std::fs::write(&path, &json).expect("sweep JSON is writable");
     println!("wrote {}", path.display());
 }

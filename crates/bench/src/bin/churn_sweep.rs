@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ballfit_bench::{validate_and_exit, Parallelism};
+use ballfit_bench::{results_path, validate_and_exit, Parallelism};
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
@@ -287,17 +287,6 @@ fn hole_cycle(
     }
 }
 
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("churn_sweep.json")
-}
-
 fn main() {
     let mut smoke = false;
     let mut out: Option<PathBuf> = None;
@@ -442,7 +431,7 @@ fn main() {
     );
     json.push_str("}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "churn_sweep.json");
     std::fs::write(&path, &json).expect("sweep JSON is writable");
     println!("wrote {}", path.display());
 }

@@ -38,16 +38,14 @@ use std::path::PathBuf;
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
-use ballfit::protocols::{run_grouping_protocol_traced, run_ubf_protocol_traced};
+use ballfit::protocols::{run_grouping_protocol, run_iff_protocol, run_ubf_protocol};
 use ballfit::view::NetView;
-use ballfit_bench::validate_and_exit;
+use ballfit_bench::{results_path, validate_and_exit};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
 use ballfit_obs::summary::summarize;
 use ballfit_obs::Trace;
-use ballfit_wsn::flood::FragmentFlood;
-use ballfit_wsn::sim::Simulator;
 
 /// Target-degree ladder of the full run (fixed shape, varying density).
 const DEGREE_LADDER: [f64; 6] = [8.0, 10.0, 12.0, 14.0, 16.0, 18.0];
@@ -101,23 +99,18 @@ fn profile(density: f64, smoke: bool) -> (Row, String) {
     let mut trace = Trace::enabled();
 
     // Centralized-equivalent detection: ball-test counts per node.
-    let detection =
-        BoundaryDetector::new(cfg).detect_view_traced(&NetView::from_model(&model), &mut trace);
+    let view = NetView::from_model(&model);
+    let detection = BoundaryDetector::new(cfg).detect_view_traced(&view, &mut trace);
 
     // Message-passing executions: UBF table exchange, IFF scoped
     // flooding over the candidates, min-label grouping over the final
     // boundary. The runner spans reuse the detector's phase names, so
     // each summary row carries both the computation and the traffic.
-    run_ubf_protocol_traced(&model, &cfg.ubf, &cfg.coordinates, &mut trace)
+    run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut trace)
         .expect("perfect radio quiesces");
-    let candidates = detection.candidates.clone();
-    let mut sim =
-        Simulator::new(model.topology(), |id| FragmentFlood::new(candidates[id], cfg.iff.ttl));
-    trace.open("iff");
-    let stats = sim.run_traced(cfg.iff.ttl as usize + 2, &mut trace);
-    trace.close();
-    assert!(stats.quiescent, "IFF flood quiesces on a perfect radio");
-    run_grouping_protocol_traced(model.topology(), &detection.boundary, &mut trace)
+    run_iff_protocol(model.topology(), &detection.candidates, cfg.iff.ttl, &mut trace)
+        .expect("IFF flood quiesces on a perfect radio");
+    run_grouping_protocol(model.topology(), &detection.boundary, &mut trace)
         .expect("perfect radio quiesces");
 
     let summary = summarize(trace.records());
@@ -206,17 +199,6 @@ fn loglog_slope(points: &[(f64, f64)]) -> f64 {
         var += (x.ln() - mx) * (x.ln() - mx);
     }
     cov / var
-}
-
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("cost_profile.json")
 }
 
 fn main() {
@@ -337,7 +319,7 @@ fn main() {
     );
     doc.push_str("}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "cost_profile.json");
     std::fs::write(&path, &doc).expect("cost-profile JSON is writable");
     println!("wrote {}", path.display());
     println!(

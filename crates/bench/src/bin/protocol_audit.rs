@@ -11,13 +11,17 @@ use ballfit::detector::BoundaryDetector;
 use ballfit::grouping::group_boundaries;
 use ballfit::iff::apply_iff;
 use ballfit::landmarks::elect_landmarks;
-use ballfit::protocols::{run_grouping_protocol, run_landmark_protocol, run_ubf_protocol};
+use ballfit::protocols::{
+    run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol,
+};
 use ballfit::surface::SurfaceBuilder;
+use ballfit::view::NetView;
 use ballfit_bench::format_table;
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::scenario::Scenario;
-use ballfit_wsn::flood::{fragment_sizes, FragmentFlood};
-use ballfit_wsn::sim::Simulator;
+use ballfit_obs::Trace;
+use ballfit_wsn::faults::FaultPlan;
+use ballfit_wsn::flood::fragment_sizes;
 
 fn main() {
     let model = NetworkBuilder::new(Scenario::SolidSphere)
@@ -35,6 +39,7 @@ fn main() {
     let cfg = DetectorConfig::paper(10, 5);
     let detector = BoundaryDetector::new(cfg);
     let central = detector.detect(&model);
+    let off = &mut Trace::disabled();
 
     let mut table = vec![vec![
         "protocol".into(),
@@ -44,26 +49,24 @@ fn main() {
     ]];
 
     // 1. UBF: one neighbor-table broadcast per node.
-    let (ubf_flags, ubf_msgs) =
-        run_ubf_protocol(&model, &cfg.ubf, &cfg.coordinates).expect("perfect radio quiesces");
+    let (ubf_flags, ubf) =
+        run_ubf_protocol(&NetView::from_model(&model), &cfg.ubf, &cfg.coordinates, off)
+            .expect("perfect radio quiesces");
     table.push(vec![
         "UBF (table exchange)".into(),
         (ubf_flags == central.candidates).to_string(),
-        ubf_msgs.to_string(),
-        format!("{:.1}", ubf_msgs as f64 / n as f64),
+        ubf.messages.to_string(),
+        format!("{:.1}", ubf.messages as f64 / n as f64),
     ]);
 
     // 2. IFF: scoped flooding with TTL 3 among candidates.
-    let candidates = central.candidates.clone();
-    let mut sim = Simulator::new(topo, |id| FragmentFlood::new(candidates[id], cfg.iff.ttl));
-    let stats = sim.run(cfg.iff.ttl as usize + 2);
+    let candidates = &central.candidates;
+    let (sizes, stats) =
+        run_iff_protocol(topo, candidates, cfg.iff.ttl, off).expect("perfect radio quiesces");
     let via_protocol: Vec<bool> =
-        (0..n).map(|i| candidates[i] && sim.node(i).fragment_size() >= cfg.iff.theta).collect();
-    let central_iff = apply_iff(topo, &candidates, &cfg.iff);
-    let sizes_match = {
-        let sizes = fragment_sizes(topo, cfg.iff.ttl, |i| candidates[i]);
-        (0..n).all(|i| sim.node(i).fragment_size() == sizes[i])
-    };
+        (0..n).map(|i| candidates[i] && sizes[i] >= cfg.iff.theta).collect();
+    let central_iff = apply_iff(topo, candidates, &cfg.iff);
+    let sizes_match = sizes == fragment_sizes(topo, cfg.iff.ttl, |i| candidates[i]);
     table.push(vec![
         "IFF (scoped flood)".into(),
         (via_protocol == central_iff && sizes_match).to_string(),
@@ -72,27 +75,28 @@ fn main() {
     ]);
 
     // 3. Grouping: min-ID label flooding.
-    let (labels, group_msgs) =
-        run_grouping_protocol(topo, &central.boundary).expect("perfect radio quiesces");
+    let (labels, grouping) =
+        run_grouping_protocol(topo, &central.boundary, off).expect("perfect radio quiesces");
     let groups = group_boundaries(topo, &central.boundary);
     let grouping_ok = groups.iter().all(|g| g.iter().all(|&m| labels[m] == Some(g[0])));
     table.push(vec![
         "grouping (min-ID flood)".into(),
         grouping_ok.to_string(),
-        group_msgs.to_string(),
-        format!("{:.1}", group_msgs as f64 / n as f64),
+        grouping.messages.to_string(),
+        format!("{:.1}", grouping.messages as f64 / n as f64),
     ]);
 
     // 4. Landmark election on the largest boundary group.
     if let Some(group) = groups.first() {
         let k = 3;
         let central_lm = elect_landmarks(topo, group, k);
-        let (dist_lm, lm_msgs) = run_landmark_protocol(topo, group, k).expect("election converges");
+        let (dist_lm, election) = run_landmark_protocol(topo, group, k, &FaultPlan::none(), off)
+            .expect("election converges");
         table.push(vec![
             "landmark election (k=3)".into(),
             (dist_lm == central_lm).to_string(),
-            lm_msgs.to_string(),
-            format!("{:.1}", lm_msgs as f64 / group.len() as f64),
+            election.messages.to_string(),
+            format!("{:.1}", election.messages as f64 / group.len() as f64),
         ]);
     }
 

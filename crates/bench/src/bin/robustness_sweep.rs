@@ -26,22 +26,23 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ballfit_bench::{validate_and_exit, Parallelism};
+use ballfit_bench::{results_path, validate_and_exit, Parallelism};
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
 use ballfit::grouping::group_boundaries;
 use ballfit::landmarks::elect_landmarks;
 use ballfit::protocols::{
-    run_grouping_protocol_traced, run_hardened_grouping, run_hardened_ubf,
-    run_landmark_protocol_with_faults, run_ubf_protocol_traced, Backoff,
+    run_grouping_protocol, run_hardened_grouping, run_hardened_iff, run_hardened_ubf,
+    run_iff_protocol, run_landmark_protocol, run_ubf_protocol, Backoff,
 };
+use ballfit::view::NetView;
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
+use ballfit_obs::Trace;
 use ballfit_wsn::faults::FaultPlan;
-use ballfit_wsn::flood::{fragment_sizes, FragmentFlood, HardenedFragmentFlood};
-use ballfit_wsn::sim::Simulator;
+use ballfit_wsn::flood::fragment_sizes;
 use ballfit_wsn::NodeId;
 
 /// Number of times each hardened-flood forward is transmitted.
@@ -155,11 +156,13 @@ fn run_cell(
         }
     }
     let crashed = alive.iter().filter(|a| !**a).count();
+    let off = &mut Trace::disabled();
 
     // Phase 1: hardened UBF.
-    let ubf = run_hardened_ubf(model, &cfg.ubf, &cfg.coordinates, retry, &plan);
+    let view = NetView::from_model(model);
+    let ubf = run_hardened_ubf(&view, &cfg.ubf, &cfg.coordinates, retry, &plan, off);
     let (ubf_ok, ubf_flags, ubf_msgs) = match ubf {
-        Ok((flags, msgs)) => (true, flags, Some(msgs)),
+        Ok((flags, stats)) => (true, flags, Some(stats.messages)),
         Err(_) => (false, vec![false; n], None),
     };
     let (ubf_missing, ubf_mistaken) =
@@ -167,23 +170,18 @@ fn run_cell(
 
     // Phase 2: hardened IFF flood over the centralized candidate set (so
     // the flood's own degradation is measured in isolation).
-    let ttl = cfg.iff.ttl;
     let candidates = &central.candidates;
-    let mut sim =
-        Simulator::new(topo, |id| HardenedFragmentFlood::new(candidates[id], ttl, FLOOD_REPEATS));
-    let flood_budget = 2 * FLOOD_REPEATS as usize * (ttl as usize + 2) + plan.round_slack();
-    let stats = sim.run_with_faults(flood_budget, &plan);
-    let theta = cfg.iff.theta;
-    let via_flood: Vec<bool> =
-        (0..n).map(|i| candidates[i] && sim.node(i).fragment_size() >= theta).collect();
+    let (sizes, stats) = run_hardened_iff(topo, candidates, cfg.iff.ttl, FLOOD_REPEATS, &plan, off)
+        .expect("hardened flood quiesces");
+    let via_flood: Vec<bool> = (0..n).map(|i| candidates[i] && sizes[i] >= cfg.iff.theta).collect();
     let (iff_missing, iff_mistaken) = boundary_rates(&central.boundary, &via_flood, &alive);
     let (dropped, crash_lost) = (stats.faults.dropped, stats.faults.crash_lost);
     let iff_msgs = stats.messages;
 
     // Phase 3: hardened grouping over the centralized boundary.
-    let grouping = run_hardened_grouping(topo, &central.boundary, retry, &plan);
+    let grouping = run_hardened_grouping(topo, &central.boundary, retry, &plan, off);
     let (grouping_ok, grouping_agreement, grouping_msgs) = match grouping {
-        Ok((labels, msgs)) => {
+        Ok((labels, stats)) => {
             let groups = group_boundaries(topo, &central.boundary);
             let (mut members, mut agree) = (0usize, 0usize);
             for group in &groups {
@@ -197,7 +195,7 @@ fn run_cell(
                 }
             }
             let agreement = (members > 0).then(|| agree as f64 / members as f64);
-            (true, agreement, Some(msgs))
+            (true, agreement, Some(stats.messages))
         }
         Err(_) => (false, None, None),
     };
@@ -206,7 +204,7 @@ fn run_cell(
     let groups = group_boundaries(topo, &central.boundary);
     let (landmark_converged, landmark_jaccard) = match groups.first() {
         Some(group) if group.len() >= 4 => {
-            match run_landmark_protocol_with_faults(topo, group, 3, &plan) {
+            match run_landmark_protocol(topo, group, 3, &plan, off) {
                 Ok((elected, _)) => {
                     let reference = elect_landmarks(topo, group, 3);
                     let e: std::collections::BTreeSet<NodeId> = elected.into_iter().collect();
@@ -259,36 +257,22 @@ fn baseline(
     model: &NetworkModel,
     cfg: &DetectorConfig,
     central: &ballfit::detector::BoundaryDetection,
-    trace: &mut ballfit_obs::Trace,
+    trace: &mut Trace,
 ) -> Baseline {
-    let (_, ubf_msgs) = run_ubf_protocol_traced(model, &cfg.ubf, &cfg.coordinates, trace)
+    let topo = model.topology();
+    let (_, ubf) = run_ubf_protocol(&NetView::from_model(model), &cfg.ubf, &cfg.coordinates, trace)
         .expect("perfect radio quiesces");
-    let candidates = central.candidates.clone();
-    let mut sim =
-        Simulator::new(model.topology(), |id| FragmentFlood::new(candidates[id], cfg.iff.ttl));
-    trace.open("iff");
-    let stats = sim.run_traced(cfg.iff.ttl as usize + 2, trace);
-    trace.close();
-    assert!(stats.quiescent);
-    let sizes = fragment_sizes(model.topology(), cfg.iff.ttl, |i| candidates[i]);
-    for (i, &size) in sizes.iter().enumerate() {
-        assert_eq!(sim.node(i).fragment_size(), size, "flood baseline self-check");
-    }
-    let (_, grouping_msgs) =
-        run_grouping_protocol_traced(model.topology(), &central.boundary, trace)
-            .expect("perfect radio quiesces");
-    Baseline { ubf_msgs, iff_msgs: stats.messages, grouping_msgs }
-}
-
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("robustness_sweep.json")
+    let candidates = &central.candidates;
+    let (sizes, iff) =
+        run_iff_protocol(topo, candidates, cfg.iff.ttl, trace).expect("perfect radio quiesces");
+    assert_eq!(
+        sizes,
+        fragment_sizes(topo, cfg.iff.ttl, |i| candidates[i]),
+        "flood baseline self-check"
+    );
+    let (_, grouping) =
+        run_grouping_protocol(topo, &central.boundary, trace).expect("perfect radio quiesces");
+    Baseline { ubf_msgs: ubf.messages, iff_msgs: iff.messages, grouping_msgs: grouping.messages }
 }
 
 fn main() {
@@ -323,11 +307,7 @@ fn main() {
     let model = reference_model(smoke);
     let cfg = DetectorConfig::paper(10, 3);
     let central = BoundaryDetector::new(cfg).with_parallelism(parallelism).detect(&model);
-    let mut trace = if trace_out.is_some() {
-        ballfit_obs::Trace::enabled()
-    } else {
-        ballfit_obs::Trace::disabled()
-    };
+    let mut trace = if trace_out.is_some() { Trace::enabled() } else { Trace::disabled() };
     let base = baseline(&model, &cfg, &central, &mut trace);
     if let Some(tp) = &trace_out {
         trace.write_jsonl(tp).expect("trace JSONL is writable");
@@ -419,7 +399,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "robustness_sweep.json");
     std::fs::write(&path, &json).expect("sweep JSON is writable");
     println!("wrote {}", path.display());
 }

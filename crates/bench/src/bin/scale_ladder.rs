@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
-use ballfit_bench::validate_and_exit;
+use ballfit_bench::{results_path, validate_and_exit};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::scenario::Scenario;
 
@@ -188,17 +188,6 @@ fn loglog_slope(points: &[(f64, f64)]) -> f64 {
     cov / var
 }
 
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("scale_ladder.json")
-}
-
 fn main() {
     let mut smoke = false;
     let mut deterministic = false;
@@ -315,7 +304,7 @@ fn main() {
     let _ = writeln!(doc, "  \"fits\": {{{fits}}}");
     doc.push_str("}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "scale_ladder.json");
     std::fs::write(&path, &doc).expect("scale-ladder JSON is writable");
     println!("wrote {}", path.display());
 }

@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ballfit_bench::{validate_and_exit, Parallelism};
+use ballfit_bench::{results_path, validate_and_exit, Parallelism};
 
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::churn::ChurnDriver;
@@ -171,17 +171,6 @@ fn percentile(sorted: &[usize], p: f64) -> usize {
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("serve_load.json")
 }
 
 fn main() {
@@ -330,7 +319,7 @@ fn main() {
     );
     doc.push_str("}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "serve_load.json");
     std::fs::write(&path, &doc).expect("load JSON is writable");
     println!("wrote {}", path.display());
 }

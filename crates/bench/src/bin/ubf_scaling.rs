@@ -25,7 +25,9 @@ use std::time::Instant;
 use ballfit::config::DetectorConfig;
 use ballfit::detector::{BoundaryDetection, BoundaryDetector};
 use ballfit::view::NetView;
-use ballfit_bench::{fig1_network, fig1_network_small, validate_and_exit, Parallelism};
+use ballfit_bench::{
+    fig1_network, fig1_network_small, results_path, validate_and_exit, Parallelism,
+};
 use ballfit_netgen::model::NetworkModel;
 
 /// Thread-count ladder of the acceptance criterion.
@@ -72,17 +74,6 @@ fn sweep(model: &NetworkModel, ladder: &[usize]) -> Vec<Row> {
         rows.push(Row { threads, best_secs: best });
     }
     rows
-}
-
-fn results_path(out: Option<PathBuf>) -> PathBuf {
-    if let Some(p) = out {
-        return p;
-    }
-    let dir = std::env::var_os("BALLFIT_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("results directory is creatable");
-    dir.join("ubf_scaling.json")
 }
 
 fn main() {
@@ -144,7 +135,7 @@ fn main() {
     }
     doc.push_str("  ]\n}\n");
 
-    let path = results_path(out);
+    let path = results_path(out, "ubf_scaling.json");
     std::fs::write(&path, &doc).expect("scaling JSON is writable");
     println!("wrote {}", path.display());
 

@@ -107,6 +107,12 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
+/// Where a sweep bin writes its JSON: the `--out` path when given,
+/// else `name` inside [`results_dir`].
+pub fn results_path(out: Option<PathBuf>, name: &str) -> PathBuf {
+    out.unwrap_or_else(|| results_dir().join(name))
+}
+
 /// Writes a CSV file into the results directory.
 ///
 /// # Panics

@@ -38,14 +38,14 @@ use ballfit_obs::{Trace, TraceEvent};
 use ballfit_par::Parallelism;
 use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent};
 use ballfit_wsn::faults::{Crash, FaultPlan, SplitMix64, Xoshiro256PlusPlus};
-use ballfit_wsn::flood::{HardenedFragmentFlood, REPEAT_GAP_CAP};
-use ballfit_wsn::sim::Simulator;
+use ballfit_wsn::flood::HardenedFragmentFlood;
+use ballfit_wsn::sim::Protocol;
 use ballfit_wsn::NodeId;
 
-use crate::config::{CoordinateSource, DetectorConfig};
+use crate::config::DetectorConfig;
 use crate::detector::BoundaryDetection;
 use crate::incremental::{BoundaryDiff, IncrementalDetector};
-use crate::protocols::{Backoff, HardenedGrouping, HardenedUbf, UbfProtocol};
+use crate::protocols::{exchange, Backoff, HardenedGrouping, HardenedUbf, UbfProtocol};
 use crate::view::NetView;
 
 /// Why a chaos epoch degraded, assigned by the convergence watchdog in
@@ -147,9 +147,10 @@ impl DetectionOutcome {
 ///
 /// For an undisturbed epoch to be judged exact, the oracle and the
 /// protocol stack must compute the same per-node frames: use a
-/// [`CoordinateSource::LocalMds`] source (both sides embed measured
-/// distances — [`DetectorConfig::paper`] at 0% error is the usual
-/// choice). Under [`CoordinateSource::GroundTruth`] the centralized
+/// [`LocalMds`](crate::config::CoordinateSource::LocalMds) source (both
+/// sides embed measured distances — [`DetectorConfig::paper`] at 0%
+/// error is the usual choice). Under
+/// [`GroundTruth`](crate::config::CoordinateSource::GroundTruth) the centralized
 /// oracle reads positions directly while protocols can only embed
 /// distance tables, so a handful of near-threshold nodes may flip and
 /// register as (honest) degradation.
@@ -361,9 +362,15 @@ struct StackRun {
 }
 
 /// Runs the full hardened stack (UBF → IFF flood → grouping) once on
-/// the dynamic topology under `plan`. Distance tables carry true
-/// distances (see [`ChaosConfig`]); each phase chains into the next, so
-/// degradation compounds exactly as it would in a deployment.
+/// the dynamic topology under `plan`, each phase through
+/// [`exchange`] with its hardened runner's span and round budget.
+/// Distance tables go through the same measurement oracle the
+/// centralized frames use, so the oracle and the distributed stack
+/// judge the same inputs (at zero ranging error: true distances; see
+/// [`ChaosConfig`]). Each phase chains into the next, so degradation
+/// compounds exactly as it would in a deployment. Unlike the runners,
+/// a phase that hits its budget is not an error: the epoch is graded
+/// from its partial output.
 fn run_stack(
     dynamic: &DynamicTopology,
     config: &ChaosConfig,
@@ -371,88 +378,45 @@ fn run_stack(
     trace: &mut Trace,
 ) -> StackRun {
     let topo = dynamic.topology();
-    let positions = dynamic.positions();
     let n = topo.len();
     let backoff = config.backoff;
     let det = &config.detector;
 
     // Phase 1: hardened UBF table exchange over the churned topology.
-    // Distance tables go through the same measurement oracle the
-    // centralized frames use, so the oracle and the distributed stack
-    // judge the same inputs (at zero ranging error: true distances).
-    let view = NetView::new(topo, positions, dynamic.radio_range());
-    let ranging = match &det.coordinates {
-        CoordinateSource::GroundTruth => None,
-        CoordinateSource::LocalMds { error, noise_seed, .. } => {
-            Some(view.oracle(*error, *noise_seed))
-        }
-    };
-    let measure = |i: NodeId, j: NodeId| {
-        let d = view.true_distance(i, j);
-        ranging.as_ref().map_or(d, |o| o.measure(i, j, d))
-    };
-    let states: Vec<HardenedUbf> = (0..n)
-        .map(|i| {
-            let table =
-                topo.neighbors(i).iter().map(|&j| (j as NodeId, measure(i, j as NodeId))).collect();
-            HardenedUbf::new(UbfProtocol::new(i, table), backoff)
-        })
+    let view = NetView::new(topo, dynamic.positions(), dynamic.radio_range());
+    let tables = UbfProtocol::for_view(&view, &det.coordinates);
+    let budget = HardenedUbf::round_budget(backoff, plan);
+    let (ubf, ubf_stats) = exchange(topo, "hardened-ubf", budget, plan, trace, |id| {
+        HardenedUbf::new(tables[id].clone(), backoff)
+    });
+    let candidates: Vec<bool> = ubf
+        .iter()
+        .map(|node| node.decide(view.radio_range(), &det.ubf, &det.coordinates))
         .collect();
-    let mut ubf_sim = Simulator::new(topo, |id| states[id].clone());
-    let ubf_budget = 4 + backoff.worst_case_span() + plan.round_slack();
-    trace.open("hardened-ubf");
-    let ubf_stats = ubf_sim.run_with_faults_traced(ubf_budget, plan, trace);
-    for node in 0..n {
-        let resends = ubf_sim.node(node).retransmissions();
-        if resends > 0 {
-            trace.event(TraceEvent::Retransmits { node, resends });
-        }
-    }
-    trace.close();
-    let candidates: Vec<bool> = (0..n)
-        .map(|i| ubf_sim.node(i).decide(dynamic.radio_range(), &det.ubf, &det.coordinates))
-        .collect();
-    let mut repairs: u64 = (0..n).map(|i| ubf_sim.node(i).retransmissions()).sum();
-    let mut exhausted = (0..n).filter(|&i| ubf_sim.node(i).exhausted()).count() as u64;
 
     // Phase 2: hardened IFF flood over the *distributed* candidate set.
-    let ttl = det.iff.ttl;
-    let repeats = config.flood_repeats.max(1);
-    let mut flood_sim =
-        Simulator::new(topo, |id| HardenedFragmentFlood::new(candidates[id], ttl, repeats));
-    let flood_budget = (repeats as usize + 1) * (REPEAT_GAP_CAP as usize + 1)
-        + ttl as usize
-        + 4
-        + plan.round_slack();
-    trace.open("hardened-iff");
-    let flood_stats = flood_sim.run_with_faults_traced(flood_budget, plan, trace);
-    trace.close();
-    let boundary: Vec<bool> = (0..n)
-        .map(|i| candidates[i] && flood_sim.node(i).fragment_size() >= det.iff.theta)
-        .collect();
+    let (ttl, repeats) = (det.iff.ttl, config.flood_repeats);
+    let budget = HardenedFragmentFlood::round_budget(ttl, repeats, plan);
+    let (flood, flood_stats) = exchange(topo, "hardened-iff", budget, plan, trace, |id| {
+        HardenedFragmentFlood::new(candidates[id], ttl, repeats)
+    });
+    let boundary: Vec<bool> =
+        (0..n).map(|i| candidates[i] && flood[i].fragment_size() >= det.iff.theta).collect();
 
     // Phase 3: hardened grouping over the distributed boundary.
-    let mut group_sim = Simulator::new(topo, |id| HardenedGrouping::new(id, boundary[id], backoff));
-    let group_budget = 2 * n + 2 * backoff.worst_case_span() + plan.round_slack() + 8;
-    trace.open("hardened-grouping");
-    let group_stats = group_sim.run_with_faults_traced(group_budget, plan, trace);
-    for node in 0..n {
-        let resends = group_sim.node(node).repairs();
-        if resends > 0 {
-            trace.event(TraceEvent::Retransmits { node, resends });
-        }
-    }
-    trace.close();
-    let labels: Vec<Option<NodeId>> = (0..n).map(|i| group_sim.node(i).label()).collect();
-    repairs += (0..n).map(|i| group_sim.node(i).repairs()).sum::<u64>();
-    exhausted += (0..n).map(|i| group_sim.node(i).exhausted()).sum::<u64>();
+    let budget = HardenedGrouping::round_budget(n, backoff, plan);
+    let (group, group_stats) = exchange(topo, "hardened-grouping", budget, plan, trace, |id| {
+        HardenedGrouping::new(id, boundary[id], backoff)
+    });
 
     StackRun {
         boundary,
-        labels,
+        labels: group.iter().map(HardenedGrouping::label).collect(),
         rounds: ubf_stats.rounds + flood_stats.rounds + group_stats.rounds,
-        repairs,
-        exhausted,
+        repairs: ubf.iter().map(Protocol::resends).sum::<u64>()
+            + group.iter().map(Protocol::resends).sum::<u64>(),
+        exhausted: ubf.iter().filter(|node| node.exhausted()).count() as u64
+            + group.iter().map(HardenedGrouping::exhausted).sum::<u64>(),
         quiescent: ubf_stats.quiescent && flood_stats.quiescent && group_stats.quiescent,
     }
 }

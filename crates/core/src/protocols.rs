@@ -30,17 +30,26 @@
 //! with a bounded per-neighbor budget — there is no fixed worst-case
 //! re-broadcast horizon. On a perfect radio each hardened protocol
 //! produces exactly the same outputs as its plain counterpart (and, for
-//! grouping, the same round count); the runners return
-//! [`ConvergenceFailure`] instead of asserting, so truncated runs are
-//! loud in release builds too.
+//! grouping, the same round count).
+//!
+//! Every execution goes through [`exchange`]: it picks the engine (the
+//! perfect one for a zero-fault plan), wraps the run in the protocol's
+//! trace span and records each node's [`Protocol::resends`] as a
+//! [`TraceEvent::Retransmits`]. One runner per protocol sits on top —
+//! [`run_ubf_protocol`], [`run_hardened_ubf`], [`run_iff_protocol`],
+//! [`run_hardened_iff`], [`run_grouping_protocol`],
+//! [`run_hardened_grouping`], [`run_landmark_protocol`] — each fixing
+//! the span and round budget, and returning [`ConvergenceFailure`]
+//! instead of asserting, so truncated runs are loud in release builds
+//! too. Pass [`Trace::disabled`] for an untraced run.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use ballfit_mds::local::{embed_local, LocalDistances};
-use ballfit_netgen::model::NetworkModel;
 use ballfit_obs::{MsgBytes, Trace, TraceEvent};
 use ballfit_wsn::faults::FaultPlan;
+use ballfit_wsn::flood::{FragmentFlood, HardenedFragmentFlood};
 use ballfit_wsn::sim::{Ctx, Protocol, RunStats, Simulator};
 use ballfit_wsn::{NodeId, Topology};
 
@@ -54,7 +63,8 @@ use crate::view::NetView;
 /// which vanishes in release builds — a silent-failure mode.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvergenceFailure {
-    /// Which protocol failed (`"ubf"`, `"grouping"`, `"landmark"`).
+    /// Which protocol failed (`"ubf"`, `"iff"`, `"grouping"`,
+    /// `"landmark"`).
     pub protocol: &'static str,
     /// Rounds executed before giving up.
     pub rounds: usize,
@@ -83,6 +93,46 @@ fn require_quiescent(
     } else {
         Err(ConvergenceFailure { protocol, rounds: stats.rounds, messages: stats.messages })
     }
+}
+
+/// Runs one protocol exchange on `topo`, with per-node state built by
+/// `init`, for at most `max_rounds` rounds: on the perfect engine when
+/// `plan` injects no faults, on the fault engine otherwise. The run sits
+/// in a `span` of `trace`, which also receives one
+/// [`TraceEvent::Retransmits`] per node with non-zero
+/// [`Protocol::resends`], in node order. Returns the final node states
+/// and the run's stats; judging convergence is the caller's business.
+///
+/// # Panics
+///
+/// Panics if `plan` carries a NaN or out-of-range probability (checked
+/// before the engine is chosen, so a negative loss cannot pass as "no
+/// faults").
+pub fn exchange<P: Protocol>(
+    topo: &Topology,
+    span: &'static str,
+    max_rounds: usize,
+    plan: &FaultPlan,
+    trace: &mut Trace,
+    init: impl FnMut(NodeId) -> P,
+) -> (Vec<P>, RunStats) {
+    plan.validate();
+    let mut sim = Simulator::new(topo, init);
+    trace.open(span);
+    let stats = if plan.is_none() {
+        sim.run_traced(max_rounds, trace)
+    } else {
+        sim.run_with_faults_traced(max_rounds, plan, trace)
+    };
+    let nodes = sim.into_nodes();
+    for (node, state) in nodes.iter().enumerate() {
+        let resends = state.resends();
+        if resends > 0 {
+            trace.event(TraceEvent::Retransmits { node, resends });
+        }
+    }
+    trace.close();
+    (nodes, stats)
 }
 
 /// Adaptive retransmission policy of the hardened protocols: after an
@@ -143,19 +193,19 @@ impl UbfProtocol {
         UbfProtocol { id, own_table, received: BTreeMap::new() }
     }
 
-    /// Convenience: constructs all per-node states for a model under a
-    /// coordinate source (which fixes the measurement oracle).
-    pub fn for_model(model: &NetworkModel, source: &CoordinateSource) -> Vec<UbfProtocol> {
-        Self::for_view(&NetView::from_model(model), source)
-    }
-
-    /// [`UbfProtocol::for_model`] over a borrowed [`NetView`] — the
-    /// shared constructor. A view and its model measure identically
-    /// (same oracle construction), so the two entry points build
-    /// byte-identical tables; the view form is what backend adapters
-    /// (`ballfit-backends`) use to price the exchange on any topology.
+    /// Constructs all per-node states over a borrowed [`NetView`] under
+    /// a coordinate source (which fixes the measurement oracle). A view
+    /// and its model measure identically (same oracle construction), so
+    /// model callers pass [`NetView::from_model`]; views without a
+    /// backing model (a churned topology) work the same way.
     pub fn for_view(view: &NetView<'_>, source: &CoordinateSource) -> Vec<UbfProtocol> {
         let topo = view.topology();
+        let ranging = match source {
+            CoordinateSource::GroundTruth => None,
+            CoordinateSource::LocalMds { error, noise_seed, .. } => {
+                Some(view.oracle(*error, *noise_seed))
+            }
+        };
         (0..view.len())
             .map(|i| {
                 let table = topo
@@ -163,13 +213,8 @@ impl UbfProtocol {
                     .iter()
                     .map(|&j| {
                         let j = j as NodeId;
-                        let d = match source {
-                            CoordinateSource::GroundTruth => view.true_distance(i, j),
-                            CoordinateSource::LocalMds { error, noise_seed, .. } => view
-                                .oracle(*error, *noise_seed)
-                                .measure(i, j, view.true_distance(i, j)),
-                        };
-                        (j, d)
+                        let d = view.true_distance(i, j);
+                        (j, ranging.as_ref().map_or(d, |oracle| oracle.measure(i, j, d)))
                     })
                     .collect();
                 UbfProtocol::new(i, table)
@@ -240,64 +285,29 @@ impl Protocol for UbfProtocol {
     }
 }
 
-/// Runs the distributed UBF phase end to end, returning the per-node
-/// boundary-candidate flags and the message count.
+/// Runs the distributed UBF phase end to end on a perfect radio inside
+/// a `"ubf"` span, returning the per-node boundary-candidate flags and
+/// the run's stats. The span name is the detector's, so
+/// [`ballfit_obs::summary::summarize`] lands the exchange's
+/// message/byte accounting in the same row as the ball-test counts.
 ///
 /// # Errors
 ///
-/// [`ConvergenceFailure`] if the exchange does not quiesce within the
-/// round budget (cannot happen on a perfect radio; returning the flags
-/// anyway would silently report truncated state).
+/// [`ConvergenceFailure`] if the exchange does not quiesce within 4
+/// rounds (cannot happen on a perfect radio; returning the flags anyway
+/// would silently report truncated state).
 pub fn run_ubf_protocol(
-    model: &NetworkModel,
-    cfg: &UbfConfig,
-    source: &CoordinateSource,
-) -> Result<(Vec<bool>, u64), ConvergenceFailure> {
-    run_ubf_protocol_traced(model, cfg, source, &mut Trace::disabled())
-}
-
-/// [`run_ubf_protocol`] with structured tracing: the whole exchange runs
-/// inside a `"ubf"` span, so [`ballfit_obs::summary::summarize`] lands
-/// its message/byte accounting in the same row as the detector's
-/// ball-test counts. With [`Trace::disabled`] this *is*
-/// `run_ubf_protocol`.
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] as for [`run_ubf_protocol`].
-pub fn run_ubf_protocol_traced(
-    model: &NetworkModel,
-    cfg: &UbfConfig,
-    source: &CoordinateSource,
-    trace: &mut Trace,
-) -> Result<(Vec<bool>, u64), ConvergenceFailure> {
-    run_ubf_protocol_view_traced(&NetView::from_model(model), cfg, source, trace)
-}
-
-/// [`run_ubf_protocol_traced`] over a borrowed [`NetView`] — the shared
-/// runner. Detection backends use this form to execute the exchange on
-/// views that have no backing [`NetworkModel`] (e.g. a churned
-/// `DynamicTopology`); the model entry point is the
-/// `NetView::from_model` special case.
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] as for [`run_ubf_protocol`].
-pub fn run_ubf_protocol_view_traced(
     view: &NetView<'_>,
     cfg: &UbfConfig,
     source: &CoordinateSource,
     trace: &mut Trace,
-) -> Result<(Vec<bool>, u64), ConvergenceFailure> {
+) -> Result<(Vec<bool>, RunStats), ConvergenceFailure> {
     let states = UbfProtocol::for_view(view, source);
-    let mut sim = Simulator::new(view.topology(), |id| states[id].clone());
-    trace.open("ubf");
-    let stats = sim.run_traced(4, trace);
-    trace.close();
+    let (nodes, stats) =
+        exchange(view.topology(), "ubf", 4, &FaultPlan::none(), trace, |id| states[id].clone());
     let stats = require_quiescent(stats, "ubf")?;
-    let flags =
-        (0..view.len()).map(|i| sim.node(i).decide(view.radio_range(), cfg, source)).collect();
-    Ok((flags, stats.messages))
+    let flags = nodes.iter().map(|node| node.decide(view.radio_range(), cfg, source)).collect();
+    Ok((flags, stats))
 }
 
 /// Messages of the hardened UBF exchange.
@@ -349,16 +359,11 @@ impl HardenedUbf {
         }
     }
 
-    /// Constructs all per-node states (see [`UbfProtocol::for_model`]).
-    pub fn for_model(
-        model: &NetworkModel,
-        source: &CoordinateSource,
-        backoff: Backoff,
-    ) -> Vec<HardenedUbf> {
-        UbfProtocol::for_model(model, source)
-            .into_iter()
-            .map(|inner| HardenedUbf::new(inner, backoff))
-            .collect()
+    /// Hang-stop round budget of the exchange on `plan`'s radio: the
+    /// table round and its acks, one full retry schedule, and the plan's
+    /// crash and delay slack.
+    pub fn round_budget(backoff: Backoff, plan: &FaultPlan) -> usize {
+        4 + backoff.worst_case_span() + plan.round_slack()
     }
 
     /// The boundary decision from whatever tables were collected (see
@@ -366,11 +371,6 @@ impl HardenedUbf {
     /// degrades the decision locally rather than failing the run.
     pub fn decide(&self, radio_range: f64, cfg: &UbfConfig, source: &CoordinateSource) -> bool {
         self.inner.decide(radio_range, cfg, source)
-    }
-
-    /// Retransmissions this node actually performed (spent retry budget).
-    pub fn retransmissions(&self) -> u64 {
-        u64::from(self.backoff.attempts - self.attempts_left)
     }
 
     /// True if the retry budget ran out with some neighbor still unacked:
@@ -428,58 +428,87 @@ impl Protocol for HardenedUbf {
         // once the budget is spent the node accepts whatever it has.
         self.attempts_left > 0 && !self.fully_acked()
     }
+
+    /// Retransmissions this node actually performed (spent retry budget).
+    fn resends(&self) -> u64 {
+        u64::from(self.backoff.attempts - self.attempts_left)
+    }
 }
 
-/// Runs the hardened UBF phase on an unreliable radio. Nodes that are
-/// down when the run ends (or whose neighbors exhausted their retry
-/// budget) decide from partial tables.
+/// Runs the hardened UBF phase on `plan`'s radio inside a
+/// `"hardened-ubf"` span, with one [`TraceEvent::Retransmits`] record
+/// per node that spent retry budget (silent nodes are omitted to keep
+/// traces proportional to actual repair work). Nodes that are down when
+/// the run ends (or whose neighbors exhausted their retry budget)
+/// decide from partial tables.
 ///
 /// # Errors
 ///
 /// [`ConvergenceFailure`] if retransmissions still could not quiesce the
-/// exchange within the (generous) round budget.
+/// exchange within [`HardenedUbf::round_budget`].
 pub fn run_hardened_ubf(
-    model: &NetworkModel,
-    cfg: &UbfConfig,
-    source: &CoordinateSource,
-    backoff: Backoff,
-    plan: &FaultPlan,
-) -> Result<(Vec<bool>, u64), ConvergenceFailure> {
-    run_hardened_ubf_traced(model, cfg, source, backoff, plan, &mut Trace::disabled())
-}
-
-/// [`run_hardened_ubf`] with structured tracing: a `"hardened-ubf"`
-/// span around the faulty run, plus one [`TraceEvent::Retransmits`]
-/// record per node that spent retry budget (silent nodes are omitted to
-/// keep traces proportional to actual repair work).
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] as for [`run_hardened_ubf`].
-pub fn run_hardened_ubf_traced(
-    model: &NetworkModel,
+    view: &NetView<'_>,
     cfg: &UbfConfig,
     source: &CoordinateSource,
     backoff: Backoff,
     plan: &FaultPlan,
     trace: &mut Trace,
-) -> Result<(Vec<bool>, u64), ConvergenceFailure> {
-    let states = HardenedUbf::for_model(model, source, backoff);
-    let mut sim = Simulator::new(model.topology(), |id| states[id].clone());
-    let budget = 4 + backoff.worst_case_span() + plan.round_slack();
-    trace.open("hardened-ubf");
-    let stats = sim.run_with_faults_traced(budget, plan, trace);
-    for node in 0..model.len() {
-        let resends = sim.node(node).retransmissions();
-        if resends > 0 {
-            trace.event(TraceEvent::Retransmits { node, resends });
-        }
-    }
-    trace.close();
+) -> Result<(Vec<bool>, RunStats), ConvergenceFailure> {
+    let tables = UbfProtocol::for_view(view, source);
+    let budget = HardenedUbf::round_budget(backoff, plan);
+    let (nodes, stats) = exchange(view.topology(), "hardened-ubf", budget, plan, trace, |id| {
+        HardenedUbf::new(tables[id].clone(), backoff)
+    });
     let stats = require_quiescent(stats, "ubf")?;
-    let flags =
-        (0..model.len()).map(|i| sim.node(i).decide(model.radio_range(), cfg, source)).collect();
-    Ok((flags, stats.messages))
+    let flags = nodes.iter().map(|node| node.decide(view.radio_range(), cfg, source)).collect();
+    Ok((flags, stats))
+}
+
+/// Runs IFF's scoped fragment flood over `candidates` with TTL `ttl` on
+/// a perfect radio inside an `"iff"` span; returns each node's fragment
+/// size (distinct candidates within `ttl` hops, itself included; 0 for
+/// non-candidates) and the run's stats.
+///
+/// # Errors
+///
+/// [`ConvergenceFailure`] if the flood does not quiesce within
+/// `ttl + 2` rounds (cannot happen on a perfect radio).
+pub fn run_iff_protocol(
+    topo: &Topology,
+    candidates: &[bool],
+    ttl: u32,
+    trace: &mut Trace,
+) -> Result<(Vec<usize>, RunStats), ConvergenceFailure> {
+    let (nodes, stats) = exchange(topo, "iff", ttl as usize + 2, &FaultPlan::none(), trace, |id| {
+        FragmentFlood::new(candidates[id], ttl)
+    });
+    let stats = require_quiescent(stats, "iff")?;
+    Ok((nodes.iter().map(FragmentFlood::fragment_size).collect(), stats))
+}
+
+/// Runs the hardened fragment flood (every forward sent `repeats`
+/// times) on `plan`'s radio inside a `"hardened-iff"` span; outputs as
+/// for [`run_iff_protocol`]. With `repeats = 1` on a perfect radio it
+/// sends exactly the plain flood's messages.
+///
+/// # Errors
+///
+/// [`ConvergenceFailure`] if the flood does not quiesce within
+/// [`HardenedFragmentFlood::round_budget`].
+pub fn run_hardened_iff(
+    topo: &Topology,
+    candidates: &[bool],
+    ttl: u32,
+    repeats: u32,
+    plan: &FaultPlan,
+    trace: &mut Trace,
+) -> Result<(Vec<usize>, RunStats), ConvergenceFailure> {
+    let budget = HardenedFragmentFlood::round_budget(ttl, repeats, plan);
+    let (nodes, stats) = exchange(topo, "hardened-iff", budget, plan, trace, |id| {
+        HardenedFragmentFlood::new(candidates[id], ttl, repeats)
+    });
+    let stats = require_quiescent(stats, "iff")?;
+    Ok((nodes.iter().map(HardenedFragmentFlood::fragment_size).collect(), stats))
 }
 
 /// Min-ID label flooding over the boundary subgraph: after quiescence,
@@ -525,8 +554,9 @@ impl Protocol for GroupingProtocol {
     }
 }
 
-/// Runs boundary grouping distributively; returns per-node component
-/// labels (min member ID per component) and the message count.
+/// Runs boundary grouping distributively on a perfect radio inside a
+/// `"grouping"` span; returns per-node component labels (min member ID
+/// per component) and the run's stats.
 ///
 /// # Errors
 ///
@@ -535,29 +565,14 @@ impl Protocol for GroupingProtocol {
 pub fn run_grouping_protocol(
     topo: &Topology,
     boundary: &[bool],
-) -> Result<(Vec<Option<NodeId>>, u64), ConvergenceFailure> {
-    run_grouping_protocol_traced(topo, boundary, &mut Trace::disabled())
-}
-
-/// [`run_grouping_protocol`] with structured tracing: the label flood
-/// runs inside a `"grouping"` span. With [`Trace::disabled`] this *is*
-/// `run_grouping_protocol`.
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] as for [`run_grouping_protocol`].
-pub fn run_grouping_protocol_traced(
-    topo: &Topology,
-    boundary: &[bool],
     trace: &mut Trace,
-) -> Result<(Vec<Option<NodeId>>, u64), ConvergenceFailure> {
-    let mut sim = Simulator::new(topo, |id| GroupingProtocol::new(id, boundary[id]));
-    trace.open("grouping");
-    let stats = sim.run_traced(topo.len() + 2, trace);
-    trace.close();
+) -> Result<(Vec<Option<NodeId>>, RunStats), ConvergenceFailure> {
+    let (nodes, stats) =
+        exchange(topo, "grouping", topo.len() + 2, &FaultPlan::none(), trace, |id| {
+            GroupingProtocol::new(id, boundary[id])
+        });
     let stats = require_quiescent(stats, "grouping")?;
-    let labels = (0..topo.len()).map(|i| sim.node(i).label()).collect();
-    Ok((labels, stats.messages))
+    Ok((nodes.iter().map(GroupingProtocol::label).collect(), stats))
 }
 
 /// Messages of the hardened grouping exchange.
@@ -666,10 +681,11 @@ impl HardenedGrouping {
         self.label
     }
 
-    /// Repair probes this node sent (spent retry budget — the hardening
-    /// overhead beyond plain min-label flooding).
-    pub fn repairs(&self) -> u64 {
-        self.repairs
+    /// Hang-stop round budget of an `n`-node run on `plan`'s radio:
+    /// two label sweeps, two full retry schedules (a fully re-armed one
+    /// can drain), the plan's crash and delay slack, and 8 rounds spare.
+    pub fn round_budget(n: usize, backoff: Backoff, plan: &FaultPlan) -> usize {
+        2 * n + 2 * backoff.worst_case_span() + plan.round_slack() + 8
     }
 
     /// Neighbors whose repair budget ran out without agreement: the
@@ -795,55 +811,39 @@ impl Protocol for HardenedGrouping {
     fn wants_tick(&self) -> bool {
         self.member && self.peers.values().any(PeerRepair::pending)
     }
+
+    /// Repair probes this node sent (spent retry budget — the hardening
+    /// overhead beyond plain min-label flooding).
+    fn resends(&self) -> u64 {
+        self.repairs
+    }
 }
 
-/// Runs hardened boundary grouping on an unreliable radio. Termination is
-/// quiescence-aware — the run ends as soon as no messages are in flight
-/// and every repair schedule is confirmed or exhausted — so fault-free
-/// runs pay no horizon; the round budget is only a hang-stop sized so
-/// even a fully re-armed worst-case schedule can drain.
+/// Runs hardened boundary grouping on `plan`'s radio inside a
+/// `"hardened-grouping"` span, with one [`TraceEvent::Retransmits`]
+/// record per node that sent repair probes (the hardening overhead).
+/// Termination is quiescence-aware — the run ends as soon as no
+/// messages are in flight and every repair schedule is confirmed or
+/// exhausted — so fault-free runs pay no horizon; the round budget is
+/// only a hang-stop.
 ///
 /// # Errors
 ///
-/// [`ConvergenceFailure`] if the run does not quiesce within the budget.
+/// [`ConvergenceFailure`] if the run does not quiesce within
+/// [`HardenedGrouping::round_budget`].
 pub fn run_hardened_grouping(
     topo: &Topology,
     boundary: &[bool],
     backoff: Backoff,
     plan: &FaultPlan,
-) -> Result<(Vec<Option<NodeId>>, u64), ConvergenceFailure> {
-    run_hardened_grouping_traced(topo, boundary, backoff, plan, &mut Trace::disabled())
-}
-
-/// [`run_hardened_grouping`] with structured tracing: a
-/// `"hardened-grouping"` span around the faulty run, plus one
-/// [`TraceEvent::Retransmits`] record per node that sent repair probes
-/// (the hardening overhead).
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] as for [`run_hardened_grouping`].
-pub fn run_hardened_grouping_traced(
-    topo: &Topology,
-    boundary: &[bool],
-    backoff: Backoff,
-    plan: &FaultPlan,
     trace: &mut Trace,
-) -> Result<(Vec<Option<NodeId>>, u64), ConvergenceFailure> {
-    let mut sim = Simulator::new(topo, |id| HardenedGrouping::new(id, boundary[id], backoff));
-    let budget = 2 * topo.len() + 2 * backoff.worst_case_span() + plan.round_slack() + 8;
-    trace.open("hardened-grouping");
-    let stats = sim.run_with_faults_traced(budget, plan, trace);
-    for node in 0..topo.len() {
-        let resends = sim.node(node).repairs();
-        if resends > 0 {
-            trace.event(TraceEvent::Retransmits { node, resends });
-        }
-    }
-    trace.close();
+) -> Result<(Vec<Option<NodeId>>, RunStats), ConvergenceFailure> {
+    let budget = HardenedGrouping::round_budget(topo.len(), backoff, plan);
+    let (nodes, stats) = exchange(topo, "hardened-grouping", budget, plan, trace, |id| {
+        HardenedGrouping::new(id, boundary[id], backoff)
+    });
     let stats = require_quiescent(stats, "grouping")?;
-    let labels = (0..topo.len()).map(|i| sim.node(i).label()).collect();
-    Ok((labels, stats.messages))
+    Ok((nodes.iter().map(HardenedGrouping::label).collect(), stats))
 }
 
 /// Messages of the landmark election.
@@ -1013,68 +1013,34 @@ fn member_mask(topo: &Topology, group: &[NodeId]) -> Vec<bool> {
     m
 }
 
-/// Runs the distributed landmark election on one boundary group; returns
-/// the elected landmark IDs (ascending) and the message count.
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] if the election does not converge within
-/// `4 · n · k` rounds — cannot happen on well-formed inputs, but pipeline
-/// callers degrade gracefully instead of panicking.
-pub fn run_landmark_protocol(
-    topo: &Topology,
-    group: &[NodeId],
-    k: u32,
-) -> Result<(Vec<NodeId>, u64), ConvergenceFailure> {
-    run_landmark_protocol_traced(topo, group, k, &mut Trace::disabled())
-}
-
-/// [`run_landmark_protocol`] with structured tracing: the election runs
-/// inside a `"landmark"` span. With [`Trace::disabled`] this *is*
-/// `run_landmark_protocol`.
-///
-/// # Errors
-///
-/// [`ConvergenceFailure`] as for [`run_landmark_protocol`].
-pub fn run_landmark_protocol_traced(
-    topo: &Topology,
-    group: &[NodeId],
-    k: u32,
-    trace: &mut Trace,
-) -> Result<(Vec<NodeId>, u64), ConvergenceFailure> {
-    let member = member_mask(topo, group);
-    let mut sim = Simulator::new(topo, |id| LandmarkElection::new(member[id], k));
-    let max_rounds = 4 * (topo.len() + 1) * k as usize;
-    trace.open("landmark");
-    let stats = sim.run_traced(max_rounds, trace);
-    trace.close();
-    let stats = require_quiescent(stats, "landmark")?;
-    let landmarks = (0..topo.len()).filter(|&i| sim.node(i).decision() == Some(true)).collect();
-    Ok((landmarks, stats.messages))
-}
-
-/// Runs the landmark election on an unreliable radio. The election's
-/// probe dedup and `wants_tick` clock make it safe under duplication and
+/// Runs the distributed landmark election on one boundary group on
+/// `plan`'s radio inside a `"landmark"` span; returns the elected
+/// landmark IDs (ascending) and the run's stats. The election's probe
+/// dedup and `wants_tick` clock make it safe under duplication and
 /// delay; under loss it still terminates (the smallest undecided member
 /// always self-elects), but the elected set may drift from the greedy
 /// reference — the `robustness_sweep` binary measures that drift.
 ///
 /// # Errors
 ///
-/// [`ConvergenceFailure`] if some member is still undecided at the round
-/// budget (e.g. it was crashed for the entire run).
-pub fn run_landmark_protocol_with_faults(
+/// [`ConvergenceFailure`] if some member is still undecided after
+/// `4 · (n + 1) · k` rounds plus the plan's slack (e.g. it was crashed
+/// for the entire run) — cannot happen on a perfect radio, but pipeline
+/// callers degrade gracefully instead of panicking.
+pub fn run_landmark_protocol(
     topo: &Topology,
     group: &[NodeId],
     k: u32,
     plan: &FaultPlan,
-) -> Result<(Vec<NodeId>, u64), ConvergenceFailure> {
+    trace: &mut Trace,
+) -> Result<(Vec<NodeId>, RunStats), ConvergenceFailure> {
     let member = member_mask(topo, group);
-    let mut sim = Simulator::new(topo, |id| LandmarkElection::new(member[id], k));
-    let max_rounds = 4 * (topo.len() + 1) * k as usize + plan.round_slack();
-    let stats = require_quiescent(sim.run_with_faults(max_rounds, plan), "landmark")?;
-    let landmarks = (0..topo.len()).filter(|&i| sim.node(i).decision() == Some(true)).collect();
-    Ok((landmarks, stats.messages))
+    let budget = 4 * (topo.len() + 1) * k as usize + plan.round_slack();
+    let (nodes, stats) =
+        exchange(topo, "landmark", budget, plan, trace, |id| LandmarkElection::new(member[id], k));
+    let stats = require_quiescent(stats, "landmark")?;
+    let landmarks = (0..nodes.len()).filter(|&i| nodes[i].decision() == Some(true)).collect();
+    Ok((landmarks, stats))
 }
 
 #[cfg(test)]
@@ -1086,8 +1052,9 @@ mod tests {
     use crate::iff::apply_iff;
     use crate::landmarks::elect_landmarks;
     use ballfit_netgen::builder::NetworkBuilder;
+    use ballfit_netgen::model::NetworkModel;
     use ballfit_netgen::scenario::Scenario;
-    use ballfit_wsn::flood::{fragment_sizes, FragmentFlood};
+    use ballfit_wsn::flood::fragment_sizes;
 
     fn model() -> NetworkModel {
         NetworkBuilder::new(Scenario::SolidSphere)
@@ -1099,17 +1066,26 @@ mod tests {
             .unwrap()
     }
 
+    fn ring(n: usize) -> Topology {
+        Topology::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>())
+    }
+
     #[test]
     fn ubf_protocol_matches_centralized_detector() {
         let model = model();
         let cfg = DetectorConfig::paper(10, 3);
         let detector = BoundaryDetector::new(cfg);
         let central = detector.detect(&model);
-        let (distributed, messages) =
-            run_ubf_protocol(&model, &cfg.ubf, &cfg.coordinates).expect("perfect radio quiesces");
+        let (distributed, stats) = run_ubf_protocol(
+            &NetView::from_model(&model),
+            &cfg.ubf,
+            &cfg.coordinates,
+            &mut Trace::disabled(),
+        )
+        .expect("perfect radio quiesces");
         assert_eq!(distributed, central.candidates, "UBF protocol diverged");
         // One broadcast per node: 2·|E| point-to-point messages.
-        assert_eq!(messages, 2 * model.topology().edge_count() as u64);
+        assert_eq!(stats.messages, 2 * model.topology().edge_count() as u64);
     }
 
     #[test]
@@ -1118,17 +1094,12 @@ mod tests {
         let cfg = DetectorConfig::default();
         let central = BoundaryDetector::new(cfg).detect(&model);
         let candidates = central.candidates.clone();
-        let mut sim =
-            Simulator::new(model.topology(), |id| FragmentFlood::new(candidates[id], cfg.iff.ttl));
-        let stats = sim.run(cfg.iff.ttl as usize + 2);
-        assert!(stats.quiescent);
-        let sizes = fragment_sizes(model.topology(), cfg.iff.ttl, |n| candidates[n]);
-        for (i, &size) in sizes.iter().enumerate() {
-            assert_eq!(sim.node(i).fragment_size(), size, "node {i}");
-        }
-        let via_protocol: Vec<bool> = (0..model.len())
-            .map(|i| candidates[i] && sim.node(i).fragment_size() >= cfg.iff.theta)
-            .collect();
+        let (sizes, _) =
+            run_iff_protocol(model.topology(), &candidates, cfg.iff.ttl, &mut Trace::disabled())
+                .expect("perfect radio quiesces");
+        assert_eq!(sizes, fragment_sizes(model.topology(), cfg.iff.ttl, |n| candidates[n]));
+        let via_protocol: Vec<bool> =
+            (0..model.len()).map(|i| candidates[i] && sizes[i] >= cfg.iff.theta).collect();
         assert_eq!(via_protocol, apply_iff(model.topology(), &candidates, &cfg.iff));
     }
 
@@ -1136,8 +1107,9 @@ mod tests {
     fn grouping_protocol_matches_components() {
         let model = model();
         let detection = BoundaryDetector::new(DetectorConfig::default()).detect(&model);
-        let (labels, _messages) = run_grouping_protocol(model.topology(), &detection.boundary)
-            .expect("perfect radio quiesces");
+        let (labels, _) =
+            run_grouping_protocol(model.topology(), &detection.boundary, &mut Trace::disabled())
+                .expect("perfect radio quiesces");
         let groups = group_boundaries(model.topology(), &detection.boundary);
         for group in &groups {
             let expected = group[0]; // min ID of the component
@@ -1152,17 +1124,21 @@ mod tests {
         }
     }
 
+    /// The perfect-radio landmark election.
+    fn elect(topo: &Topology, group: &[NodeId], k: u32) -> Vec<NodeId> {
+        run_landmark_protocol(topo, group, k, &FaultPlan::none(), &mut Trace::disabled())
+            .expect("election converges")
+            .0
+    }
+
     #[test]
     fn landmark_protocol_matches_greedy_on_rings() {
         for n in [8usize, 12, 20, 31] {
-            let topo =
-                Topology::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+            let topo = ring(n);
             let group: Vec<usize> = (0..n).collect();
             for k in [1u32, 2, 3, 4] {
                 let central = elect_landmarks(&topo, &group, k);
-                let (distributed, _) =
-                    run_landmark_protocol(&topo, &group, k).expect("election converges");
-                assert_eq!(distributed, central, "ring n={n} k={k}");
+                assert_eq!(elect(&topo, &group, k), central, "ring n={n} k={k}");
             }
         }
     }
@@ -1188,9 +1164,7 @@ mod tests {
             }
             for k in [2u32, 3] {
                 let central = elect_landmarks(&topo, &group, k);
-                let (distributed, _) =
-                    run_landmark_protocol(&topo, &group, k).expect("election converges");
-                assert_eq!(distributed, central, "trial={trial} k={k}");
+                assert_eq!(elect(&topo, &group, k), central, "trial={trial} k={k}");
             }
         }
     }
@@ -1201,25 +1175,38 @@ mod tests {
         let detection = BoundaryDetector::new(DetectorConfig::default()).detect(&model);
         let group = &detection.groups[0];
         let central = elect_landmarks(model.topology(), group, 3);
-        let (distributed, messages) =
-            run_landmark_protocol(model.topology(), group, 3).expect("election converges");
+        let (distributed, stats) = run_landmark_protocol(
+            model.topology(),
+            group,
+            3,
+            &FaultPlan::none(),
+            &mut Trace::disabled(),
+        )
+        .expect("election converges");
         assert_eq!(distributed, central);
-        assert!(messages > 0);
+        assert!(stats.messages > 0);
     }
 
     #[test]
     fn hardened_ubf_with_zero_faults_matches_plain_exactly() {
         let model = model();
+        let view = NetView::from_model(&model);
         let cfg = DetectorConfig::paper(10, 3);
-        let (plain, plain_msgs) =
-            run_ubf_protocol(&model, &cfg.ubf, &cfg.coordinates).expect("plain quiesces");
-        let plan = FaultPlan::none();
-        let (hardened, hardened_msgs) =
-            run_hardened_ubf(&model, &cfg.ubf, &cfg.coordinates, Backoff::default(), &plan)
-                .expect("hardened quiesces");
+        let (plain, plain_stats) =
+            run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut Trace::disabled())
+                .expect("plain quiesces");
+        let (hardened, hardened_stats) = run_hardened_ubf(
+            &view,
+            &cfg.ubf,
+            &cfg.coordinates,
+            Backoff::default(),
+            &FaultPlan::none(),
+            &mut Trace::disabled(),
+        )
+        .expect("hardened quiesces");
         assert_eq!(hardened, plain, "fault-free hardened UBF diverged from plain");
         // Tables (2·|E|) + one ack per table (2·|E|), no retransmissions.
-        assert_eq!(hardened_msgs, 2 * plain_msgs);
+        assert_eq!(hardened_stats.messages, 2 * plain_stats.messages);
     }
 
     #[test]
@@ -1227,12 +1214,14 @@ mod tests {
         let model = model();
         let detection = BoundaryDetector::new(DetectorConfig::default()).detect(&model);
         let (plain, _) =
-            run_grouping_protocol(model.topology(), &detection.boundary).expect("plain quiesces");
+            run_grouping_protocol(model.topology(), &detection.boundary, &mut Trace::disabled())
+                .expect("plain quiesces");
         let (hardened, _) = run_hardened_grouping(
             model.topology(),
             &detection.boundary,
             Backoff::default(),
             &FaultPlan::none(),
+            &mut Trace::disabled(),
         )
         .expect("hardened quiesces");
         assert_eq!(hardened, plain, "fault-free hardened grouping diverged from plain");
@@ -1244,10 +1233,10 @@ mod tests {
         let detection = BoundaryDetector::new(DetectorConfig::default()).detect(&model);
         let mut plain_trace = Trace::enabled();
         let (plain, _) =
-            run_grouping_protocol_traced(model.topology(), &detection.boundary, &mut plain_trace)
+            run_grouping_protocol(model.topology(), &detection.boundary, &mut plain_trace)
                 .expect("plain quiesces");
         let mut hard_trace = Trace::enabled();
-        let (hardened, _) = run_hardened_grouping_traced(
+        let (hardened, _) = run_hardened_grouping(
             model.topology(),
             &detection.boundary,
             Backoff::default(),
@@ -1280,31 +1269,82 @@ mod tests {
     #[test]
     fn hardened_grouping_survives_a_lossy_radio_on_a_ring() {
         let n = 24;
-        let topo = Topology::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
         let boundary = vec![true; n];
         let plan = FaultPlan::lossy(9, 0.3).with_duplication(0.1).with_max_delay(1);
-        let (labels, _) = run_hardened_grouping(&topo, &boundary, Backoff::default(), &plan)
-            .expect("hardened grouping quiesces");
+        let (labels, _) = run_hardened_grouping(
+            &ring(n),
+            &boundary,
+            Backoff::default(),
+            &plan,
+            &mut Trace::disabled(),
+        )
+        .expect("hardened grouping quiesces");
         assert_eq!(labels, vec![Some(0); n], "all ring members must learn label 0");
     }
 
-    #[test]
-    fn traced_ubf_runner_is_inert_and_summarizes_to_run_totals() {
-        let model = model();
-        let cfg = DetectorConfig::paper(10, 3);
-        let (plain_flags, plain_messages) =
-            run_ubf_protocol(&model, &cfg.ubf, &cfg.coordinates).expect("perfect radio quiesces");
+    /// Runs `run` with tracing off and on: output and stats must agree,
+    /// and the enabled trace's `span` row must roll up to the run totals.
+    fn assert_inert<T: PartialEq + fmt::Debug>(
+        span: &str,
+        nodes: usize,
+        run: impl Fn(&mut Trace) -> Result<(T, RunStats), ConvergenceFailure>,
+    ) {
+        let (plain, plain_stats) = run(&mut Trace::disabled()).expect("runner converges");
         let mut trace = Trace::enabled();
-        let (flags, messages) =
-            run_ubf_protocol_traced(&model, &cfg.ubf, &cfg.coordinates, &mut trace)
-                .expect("perfect radio quiesces");
-        assert_eq!(flags, plain_flags, "tracing must not change the decision");
-        assert_eq!(messages, plain_messages);
+        let (traced, stats) = run(&mut trace).expect("runner converges");
+        assert_eq!(traced, plain, "{span}: tracing must not change the output");
+        assert_eq!(stats, plain_stats, "{span}: tracing must not change the run");
         let summary = ballfit_obs::summary::summarize(trace.records());
-        let row = summary.get("ubf").expect("one ubf row");
-        assert_eq!(row.messages, messages, "summary must roll rounds up to the run total");
-        assert_eq!(row.nodes, model.len() as u64);
-        assert!(row.bytes > row.messages, "tables are multi-byte payloads");
+        let row = summary.get(span).unwrap_or_else(|| panic!("one {span} row"));
+        assert_eq!(
+            (row.messages, row.bytes),
+            (stats.messages, stats.bytes),
+            "{span}: summary must roll rounds up to the run totals"
+        );
+        assert_eq!(row.nodes, nodes as u64, "{span}");
+        assert!(row.bytes > row.messages, "{span}: every message carries a payload");
+    }
+
+    #[test]
+    fn traced_runners_are_inert_and_summarize_to_run_totals() {
+        let model = model();
+        let view = NetView::from_model(&model);
+        let topo = model.topology();
+        let n = model.len();
+        let cfg = DetectorConfig::paper(10, 3);
+        let central = BoundaryDetector::new(cfg).detect(&model);
+        let (ubf, source, ttl) = (&cfg.ubf, &cfg.coordinates, cfg.iff.ttl);
+        let backoff = Backoff::default();
+        // The hardened runners and the election run on the fault engine.
+        let lossy = FaultPlan::lossy(5, 0.1).with_max_delay(1);
+        assert_inert("ubf", n, |t| run_ubf_protocol(&view, ubf, source, t));
+        assert_inert("hardened-ubf", n, |t| {
+            run_hardened_ubf(&view, ubf, source, backoff, &lossy, t)
+        });
+        assert_inert("iff", n, |t| run_iff_protocol(topo, &central.candidates, ttl, t));
+        assert_inert("hardened-iff", n, |t| {
+            run_hardened_iff(topo, &central.candidates, ttl, 3, &lossy, t)
+        });
+        assert_inert("grouping", n, |t| run_grouping_protocol(topo, &central.boundary, t));
+        assert_inert("hardened-grouping", n, |t| {
+            run_hardened_grouping(topo, &central.boundary, backoff, &lossy, t)
+        });
+        let dup = FaultPlan::none().with_seed(3).with_duplication(0.5);
+        assert_inert("landmark", n, |t| {
+            run_landmark_protocol(topo, &central.groups[0], 3, &dup, t)
+        });
+    }
+
+    /// `is_none()` reads a negative loss as "no faults"; `exchange`
+    /// must reject the plan before that picks the perfect engine.
+    #[test]
+    #[should_panic(expected = "loss must be in [0, 1]")]
+    fn exchange_rejects_an_invalid_plan_before_choosing_the_engine() {
+        let plan = FaultPlan::lossy(0, -0.5);
+        assert!(plan.is_none());
+        exchange(&ring(4), "grouping", 8, &plan, &mut Trace::disabled(), |id| {
+            GroupingProtocol::new(id, true)
+        });
     }
 
     #[test]
@@ -1312,8 +1352,8 @@ mod tests {
         let model = model();
         let cfg = DetectorConfig::paper(10, 3);
         let mut trace = Trace::enabled();
-        let (_, _) = run_hardened_ubf_traced(
-            &model,
+        let (_, _) = run_hardened_ubf(
+            &NetView::from_model(&model),
             &cfg.ubf,
             &cfg.coordinates,
             Backoff::default(),
@@ -1330,12 +1370,11 @@ mod tests {
     #[test]
     fn hardened_grouping_trace_attributes_repairs_to_members() {
         let n = 24;
-        let topo = Topology::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
         let boundary = vec![true; n];
         let plan = FaultPlan::lossy(9, 0.3);
         let mut trace = Trace::enabled();
         let (labels, _) =
-            run_hardened_grouping_traced(&topo, &boundary, Backoff::default(), &plan, &mut trace)
+            run_hardened_grouping(&ring(n), &boundary, Backoff::default(), &plan, &mut trace)
                 .expect("hardened grouping quiesces");
         assert_eq!(labels, vec![Some(0); n]);
         // Repairs are evidence-triggered: only nodes that actually missed
@@ -1371,12 +1410,13 @@ mod tests {
         // on a ring (probe dedup absorbs copies); loss can, which is what
         // the robustness sweep quantifies.
         let n = 16;
-        let topo = Topology::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+        let topo = ring(n);
         let group: Vec<usize> = (0..n).collect();
         let central = elect_landmarks(&topo, &group, 2);
         let plan = FaultPlan::none().with_seed(3).with_duplication(0.5);
-        let (distributed, _) = run_landmark_protocol_with_faults(&topo, &group, 2, &plan)
-            .expect("election converges under duplication");
+        let (distributed, _) =
+            run_landmark_protocol(&topo, &group, 2, &plan, &mut Trace::disabled())
+                .expect("election converges under duplication");
         assert_eq!(distributed, central);
     }
 }

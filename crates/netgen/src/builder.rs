@@ -127,7 +127,8 @@ impl NetworkBuilder {
     }
 
     /// Clearance between interior nodes and the model surface (default
-    /// 0.35 radio-range units).
+    /// 0.35 model units: it is compared with the shape's signed distance
+    /// field, so it does not scale with the calibrated radio range).
     ///
     /// The paper builds its clouds with TetGen, whose interior mesh
     /// vertices keep roughly one tet-edge of clearance from the surface

@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bfs::count_within;
+use crate::faults::FaultPlan;
 use crate::sim::{Ctx, Protocol};
 use crate::topology::{NodeId, Topology};
 
@@ -166,10 +167,21 @@ impl HardenedFragmentFlood {
     }
 
     /// Forwards this node performed because a better copy of an
-    /// already-seen origin arrived (0 on a perfect radio). Harvested by
-    /// traced runners as [`ballfit_obs::TraceEvent::Reforwards`].
+    /// already-seen origin arrived (0 on a perfect radio). Read from the
+    /// node state only: no runner records it in a trace, so
+    /// [`ballfit_obs::TraceEvent::Reforwards`] has no emitter.
     pub fn reforwards(&self) -> u64 {
         self.reforwards
+    }
+
+    /// Hang-stop round budget of a hardened flood on `plan`'s radio:
+    /// every repeat schedule at its capped gap, plus the TTL, plus the
+    /// plan's crash and delay slack.
+    pub fn round_budget(ttl: u32, repeats: u32, plan: &FaultPlan) -> usize {
+        (repeats.max(1) as usize + 1) * (REPEAT_GAP_CAP as usize + 1)
+            + ttl as usize
+            + 4
+            + plan.round_slack()
     }
 
     fn forward(&mut self, origin: NodeId, fwd_ttl: u32, ctx: &mut Ctx<'_, FloodMsg>) {

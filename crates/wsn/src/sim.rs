@@ -53,6 +53,14 @@ pub trait Protocol {
     fn wants_tick(&self) -> bool {
         false
     }
+
+    /// Sends this node made beyond the protocol's fault-free schedule
+    /// (retransmissions, repair probes): the hardening overhead that
+    /// protocol runners record as one retransmit event per node.
+    /// Default: 0.
+    fn resends(&self) -> u64 {
+        0
+    }
 }
 
 /// Send-side context handed to protocol callbacks.

@@ -62,9 +62,13 @@
 #                               serve_load JSON pinned to one CPU with
 #                               taskset (the file records
 #                               available_parallelism; a missing taskset
-#                               fails the gate); and every results/*.csv
-#                               and results/*.svg from the E1-E13 bins.
-#                               Console logs are not compared.
+#                               fails the gate); protocol_audit's stdout
+#                               (E12's table, the only committed record
+#                               of its perfect-radio message counts)
+#                               against results/logs/protocol_audit.log;
+#                               and every results/*.csv and
+#                               results/*.svg from the E1-E13 bins.
+#                               Other console logs are not compared.
 #
 # The workspace has no registry dependencies: every gate runs under plain
 # cargo, offline.
@@ -187,6 +191,8 @@ cargo build -q --release -p ballfit-bench --bin serve_load
 BALLFIT_RESULTS="$ART_DIR" taskset -c 0 cargo run -q --release -p ballfit-bench --bin serve_load -- \
     --out "$ART_DIR/serve_load.json" > /dev/null
 cmp "$ART_DIR/serve_load.json" results/serve_load.json
+cargo run -q --release -p ballfit-bench --bin protocol_audit > "$ART_DIR/protocol_audit.log"
+cmp "$ART_DIR/protocol_audit.log" results/logs/protocol_audit.log
 for bin in fig1_efficiency fig_mistaken_distribution fig_missing_distribution \
            fig11_statistics scenario_gallery mesh_under_error ablation_ball_radius \
            ablation_k ablation_iff ablation_two_hop render_figures; do

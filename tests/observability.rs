@@ -10,7 +10,7 @@
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
-use ballfit::protocols::{run_grouping_protocol_traced, run_ubf_protocol_traced};
+use ballfit::protocols::{run_grouping_protocol, run_iff_protocol, run_ubf_protocol};
 use ballfit::view::NetView;
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::model::NetworkModel;
@@ -18,8 +18,6 @@ use ballfit_netgen::scenario::Scenario;
 use ballfit_obs::summary::summarize;
 use ballfit_obs::Trace;
 use ballfit_par::Parallelism;
-use ballfit_wsn::flood::FragmentFlood;
-use ballfit_wsn::sim::Simulator;
 
 /// The E17 thread ladder.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -49,12 +47,12 @@ fn reference_model() -> NetworkModel {
 fn pipeline_trace(model: &NetworkModel, par: Parallelism) -> String {
     let cfg = DetectorConfig::default();
     let mut trace = Trace::enabled();
-    let detection = BoundaryDetector::new(cfg)
-        .with_parallelism(par)
-        .detect_view_traced(&NetView::from_model(model), &mut trace);
-    run_ubf_protocol_traced(model, &cfg.ubf, &cfg.coordinates, &mut trace)
+    let view = NetView::from_model(model);
+    let detection =
+        BoundaryDetector::new(cfg).with_parallelism(par).detect_view_traced(&view, &mut trace);
+    run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut trace)
         .expect("perfect radio quiesces");
-    run_grouping_protocol_traced(model.topology(), &detection.boundary, &mut trace)
+    run_grouping_protocol(model.topology(), &detection.boundary, &mut trace)
         .expect("perfect radio quiesces");
     trace.to_jsonl()
 }
@@ -121,20 +119,16 @@ fn experiments_e15_baseline_counts_match_obs_summary() {
     let model = reference_model();
     let cfg = DetectorConfig::default();
     let mut trace = Trace::enabled();
+    let view = NetView::from_model(&model);
 
-    run_ubf_protocol_traced(&model, &cfg.ubf, &cfg.coordinates, &mut trace)
+    run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut trace)
         .expect("perfect radio quiesces");
-    let central = BoundaryDetector::new(cfg).detect_view(&NetView::from_model(&model));
-    let candidates = central.candidates.clone();
-    let mut sim =
-        Simulator::new(model.topology(), |id| FragmentFlood::new(candidates[id], cfg.iff.ttl));
-    trace.open("iff");
-    let stats = sim.run_traced(cfg.iff.ttl as usize + 2, &mut trace);
-    trace.close();
-    assert!(stats.quiescent);
-    let (_, grouping_msgs) =
-        run_grouping_protocol_traced(model.topology(), &central.boundary, &mut trace)
+    let central = BoundaryDetector::new(cfg).detect_view(&view);
+    let (_, stats) =
+        run_iff_protocol(model.topology(), &central.candidates, cfg.iff.ttl, &mut trace)
             .expect("perfect radio quiesces");
+    let (_, grouping_run) = run_grouping_protocol(model.topology(), &central.boundary, &mut trace)
+        .expect("perfect radio quiesces");
 
     let summary = summarize(trace.records());
     let ubf = summary.get("ubf").expect("ubf row").messages;
@@ -142,7 +136,10 @@ fn experiments_e15_baseline_counts_match_obs_summary() {
     let grouping = summary.get("grouping").expect("grouping row").messages;
     // The summary rows are genuine per-run totals, not double counts.
     assert_eq!(iff, stats.messages, "iff summary row must equal RunStats.messages");
-    assert_eq!(grouping, grouping_msgs, "grouping summary row must equal the runner's total");
+    assert_eq!(
+        grouping, grouping_run.messages,
+        "grouping summary row must equal the runner's total"
+    );
 
     let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
         .expect("EXPERIMENTS.md is readable");

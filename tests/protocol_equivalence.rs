@@ -6,11 +6,15 @@ use ballfit::detector::BoundaryDetector;
 use ballfit::grouping::group_boundaries;
 use ballfit::iff::apply_iff;
 use ballfit::landmarks::elect_landmarks;
-use ballfit::protocols::{run_grouping_protocol, run_landmark_protocol, run_ubf_protocol};
+use ballfit::protocols::{
+    run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol,
+};
+use ballfit::view::NetView;
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::scenario::Scenario;
-use ballfit_wsn::flood::{fragment_sizes, FragmentFlood};
-use ballfit_wsn::sim::Simulator;
+use ballfit_obs::Trace;
+use ballfit_wsn::faults::FaultPlan;
+use ballfit_wsn::flood::fragment_sizes;
 
 fn model(seed: u64) -> ballfit_netgen::model::NetworkModel {
     NetworkBuilder::new(Scenario::SpaceOneHole)
@@ -27,31 +31,27 @@ fn full_pipeline_protocols_agree_with_centralized() {
     let model = model(101);
     let cfg = DetectorConfig::paper(20, 9);
     let central = BoundaryDetector::new(cfg).detect(&model);
+    let off = &mut Trace::disabled();
 
     // Phase 1: UBF.
-    let (ubf_flags, ubf_msgs) =
-        run_ubf_protocol(&model, &cfg.ubf, &cfg.coordinates).expect("perfect radio quiesces");
+    let (ubf_flags, ubf) =
+        run_ubf_protocol(&NetView::from_model(&model), &cfg.ubf, &cfg.coordinates, off)
+            .expect("perfect radio quiesces");
     assert_eq!(ubf_flags, central.candidates);
-    assert_eq!(ubf_msgs, 2 * model.topology().edge_count() as u64);
+    assert_eq!(ubf.messages, 2 * model.topology().edge_count() as u64);
 
     // Phase 2: IFF.
-    let mut sim = Simulator::new(model.topology(), |id| {
-        FragmentFlood::new(central.candidates[id], cfg.iff.ttl)
-    });
-    assert!(sim.run(cfg.iff.ttl as usize + 2).quiescent);
-    let sizes = fragment_sizes(model.topology(), cfg.iff.ttl, |n| central.candidates[n]);
-    for (i, &size) in sizes.iter().enumerate() {
-        assert_eq!(sim.node(i).fragment_size(), size);
-    }
-    let boundary: Vec<bool> = (0..model.len())
-        .map(|i| central.candidates[i] && sim.node(i).fragment_size() >= cfg.iff.theta)
-        .collect();
+    let (sizes, _) = run_iff_protocol(model.topology(), &central.candidates, cfg.iff.ttl, off)
+        .expect("perfect radio quiesces");
+    assert_eq!(sizes, fragment_sizes(model.topology(), cfg.iff.ttl, |n| central.candidates[n]));
+    let boundary: Vec<bool> =
+        (0..model.len()).map(|i| central.candidates[i] && sizes[i] >= cfg.iff.theta).collect();
     assert_eq!(boundary, apply_iff(model.topology(), &central.candidates, &cfg.iff));
     assert_eq!(boundary, central.boundary);
 
     // Grouping.
     let (labels, _) =
-        run_grouping_protocol(model.topology(), &boundary).expect("perfect radio quiesces");
+        run_grouping_protocol(model.topology(), &boundary, off).expect("perfect radio quiesces");
     let groups = group_boundaries(model.topology(), &boundary);
     for group in &groups {
         for &member in group {
@@ -64,7 +64,8 @@ fn full_pipeline_protocols_agree_with_centralized() {
         for k in [3u32, 4] {
             let central_lm = elect_landmarks(model.topology(), group, k);
             let (protocol_lm, _) =
-                run_landmark_protocol(model.topology(), group, k).expect("election converges");
+                run_landmark_protocol(model.topology(), group, k, &FaultPlan::none(), off)
+                    .expect("election converges");
             assert_eq!(protocol_lm, central_lm, "k={k}");
         }
     }
@@ -76,8 +77,13 @@ fn protocol_equivalence_across_error_levels() {
     for error in [0u32, 40, 80] {
         let cfg = DetectorConfig::paper(error, 5);
         let central = BoundaryDetector::new(cfg).detect(&model);
-        let (flags, _) =
-            run_ubf_protocol(&model, &cfg.ubf, &cfg.coordinates).expect("perfect radio quiesces");
+        let (flags, _) = run_ubf_protocol(
+            &NetView::from_model(&model),
+            &cfg.ubf,
+            &cfg.coordinates,
+            &mut Trace::disabled(),
+        )
+        .expect("perfect radio quiesces");
         assert_eq!(flags, central.candidates, "error={error}%");
     }
 }
