@@ -2,11 +2,16 @@
 //!
 //! Runs the full from-scratch detector (`detect_view`) on the Fig. 1
 //! one-hole network (4210 nodes, degree 18.8) at a ladder of worker
-//! thread counts, asserts that every run's detection state is
-//! **byte-identical** to the single-threaded run (the `ballfit-par`
-//! determinism contract), and reports per-count wall-clock plus speedup
-//! over one thread. Results land in `$BALLFIT_RESULTS/ubf_scaling.json`
-//! (or `results/`).
+//! thread counts, twice: with known coordinates (`DetectorConfig::default`)
+//! and with the paper's local-MDS frames at 10% ranging error
+//! (`DetectorConfig::paper(10, 7)`, frames embedded in lane groups of
+//! equal size). Every run's detection state is asserted **byte-identical**
+//! to the single-threaded run of its configuration (the `ballfit-par`
+//! determinism contract). A one-thread row then times the local-MDS
+//! frames of every node one at a time (`neighborhood_frame_view`) against
+//! the batched lane groups (`neighborhood_frames_view`) and asserts that
+//! their bits are equal. Results land in
+//! `$BALLFIT_RESULTS/ubf_scaling.json` (or `results/`).
 //!
 //! ```sh
 //! cargo run --release -p ballfit-bench --bin ubf_scaling             # 4210 nodes
@@ -24,6 +29,7 @@ use std::time::Instant;
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::{BoundaryDetection, BoundaryDetector};
+use ballfit::localizer::{neighborhood_frame_view, neighborhood_frames_view, NeighborhoodFrame};
 use ballfit::view::NetView;
 use ballfit_bench::{
     fig1_network, fig1_network_small, results_path, validate_and_exit, Parallelism,
@@ -33,7 +39,7 @@ use ballfit_netgen::model::NetworkModel;
 /// Thread-count ladder of the acceptance criterion.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
-/// Timed repetitions per thread count; best-of is reported (the usual
+/// Timed repetitions per measurement; best-of is reported (the usual
 /// guard against scheduler noise on a shared machine).
 const REPS: usize = 3;
 
@@ -50,30 +56,107 @@ struct Row {
     best_secs: f64,
 }
 
-fn sweep(model: &NetworkModel, ladder: &[usize]) -> Vec<Row> {
+fn sweep(model: &NetworkModel, cfg: DetectorConfig, label: &str, ladder: &[usize]) -> Vec<Row> {
     let view = NetView::from_model(model);
-    let cfg = DetectorConfig::default();
     let reference =
         BoundaryDetector::new(cfg).with_parallelism(Parallelism::sequential()).detect_view(&view);
 
     let mut rows = Vec::new();
     for &threads in ladder {
         let det = BoundaryDetector::new(cfg).with_parallelism(Parallelism::threads(threads));
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let detection = det.detect_view(&view);
-            let dt = t0.elapsed().as_secs_f64();
-            assert!(
-                identical(&detection, &reference),
-                "detection at {threads} threads diverged from the sequential run"
-            );
-            best = best.min(dt);
-        }
-        eprintln!("  threads={threads}: best of {REPS} runs {best:.3}s (byte-identical)");
+        let best = best_of(
+            || det.detect_view(&view),
+            |detection| {
+                assert!(
+                    identical(&detection, &reference),
+                    "{label}: detection at {threads} threads diverged from the sequential run"
+                );
+            },
+        );
+        eprintln!("  {label}, threads={threads}: best of {REPS} runs {best:.3}s (byte-identical)");
         rows.push(Row { threads, best_secs: best });
     }
     rows
+}
+
+/// The best wall time of `REPS` runs of `run`, in seconds; `check`
+/// inspects every run's output outside the timed region.
+fn best_of<T>(mut run: impl FnMut() -> T, mut check: impl FnMut(T)) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let output = run();
+        best = best.min(t0.elapsed().as_secs_f64());
+        check(output);
+    }
+    best
+}
+
+/// Members, own index and the f64 bits of coordinates and stress.
+fn frame_bits(frame: &Option<NeighborhoodFrame>) -> Option<(Vec<usize>, usize, Vec<u64>, u64)> {
+    frame.as_ref().map(|f| {
+        let coords = f.coords.iter().flat_map(|c| [c.x, c.y, c.z]).map(f64::to_bits).collect();
+        (f.members.clone(), f.self_index, coords, f.stress.to_bits())
+    })
+}
+
+struct FramesRow {
+    frames: usize,
+    per_node_secs: f64,
+    batched_secs: f64,
+}
+
+/// One thread: every node's local-MDS frame one at a time against the
+/// batched lane groups, bits asserted equal on every run.
+fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> FramesRow {
+    let view = NetView::from_model(model);
+    let (source, k) = (&cfg.coordinates, cfg.ubf.witness_hops);
+    let nodes: Vec<usize> = (0..model.len()).collect();
+    let reference: Vec<_> = nodes
+        .iter()
+        .map(|&node| frame_bits(&neighborhood_frame_view(&view, node, source, k)))
+        .collect();
+    let per_node_secs = best_of(
+        || nodes.iter().map(|&node| neighborhood_frame_view(&view, node, source, k)).collect(),
+        |frames: Vec<_>| {
+            for (node, frame) in frames.iter().enumerate() {
+                assert!(frame_bits(frame) == reference[node], "frame of node {node} changed");
+            }
+        },
+    );
+    let batched_secs = best_of(
+        || neighborhood_frames_view(&view, &nodes, source, k),
+        |frames| {
+            for (node, frame) in frames.iter().enumerate() {
+                assert!(
+                    frame_bits(frame) == reference[node],
+                    "batched frame of node {node} differs"
+                );
+            }
+        },
+    );
+    let frames = reference.iter().filter(|frame| frame.is_some()).count();
+    eprintln!(
+        "  frames, threads=1: one at a time {per_node_secs:.3}s, lane groups {batched_secs:.3}s \
+         ({frames} frames, bit-identical)"
+    );
+    FramesRow { frames, per_node_secs, batched_secs }
+}
+
+fn push_rows(doc: &mut String, key: &str, rows: &[Row]) {
+    let base = rows[0].best_secs;
+    let _ = writeln!(doc, "  \"{key}\": [");
+    for (i, r) in rows.iter().enumerate() {
+        let _ = write!(
+            doc,
+            "    {{\"threads\": {}, \"best_secs\": {:.6}, \"speedup_vs_1\": {:.3}}}",
+            r.threads,
+            r.best_secs,
+            base / r.best_secs
+        );
+        doc.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+    doc.push_str("  ],\n");
 }
 
 fn main() {
@@ -108,8 +191,10 @@ fn main() {
         model.len(),
         if smoke { " (smoke)" } else { "" }
     );
-    let rows = sweep(&model, &THREAD_LADDER);
-    let base = rows[0].best_secs;
+    let paper = DetectorConfig::paper(10, 7);
+    let rows = sweep(&model, DetectorConfig::default(), "known coordinates", &THREAD_LADDER);
+    let paper_rows = sweep(&model, paper, "paper(10, 7)", &THREAD_LADDER);
+    let frames = frames_row(&model, paper);
 
     let mut doc = String::new();
     doc.push_str("{\n");
@@ -118,22 +203,25 @@ fn main() {
         "  \"meta\": {{\"experiment\": \"E17-ubf-thread-scaling\", \"smoke\": {smoke}, \
          \"nodes\": {}, \"edges\": {}, \"reps\": {REPS}, \
          \"available_parallelism\": {cores}, \
+         \"rows\": \"DetectorConfig::default (known coordinates)\", \
+         \"paper_rows\": \"DetectorConfig::paper(10, 7) (local-MDS frames in lane groups)\", \
          \"determinism\": \"byte-identical to sequential, asserted per run\"}},",
         model.len(),
         model.topology().edge_count()
     );
-    doc.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            doc,
-            "    {{\"threads\": {}, \"best_secs\": {:.6}, \"speedup_vs_1\": {:.3}}}",
-            r.threads,
-            r.best_secs,
-            base / r.best_secs
-        );
-        doc.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ]\n}\n");
+    push_rows(&mut doc, "rows", &rows);
+    push_rows(&mut doc, "paper_rows", &paper_rows);
+    let _ = writeln!(
+        doc,
+        "  \"frames\": {{\"threads\": 1, \"config\": \"paper(10, 7)\", \"frames\": {}, \
+         \"per_node_secs\": {:.6}, \"batched_secs\": {:.6}, \"speedup\": {:.3}, \
+         \"bits\": \"identical, asserted per run\"}}",
+        frames.frames,
+        frames.per_node_secs,
+        frames.batched_secs,
+        frames.per_node_secs / frames.batched_secs
+    );
+    doc.push_str("}\n");
 
     let path = results_path(out, "ubf_scaling.json");
     std::fs::write(&path, &doc).expect("scaling JSON is writable");

@@ -389,10 +389,7 @@ fn run_stack(
     let (ubf, ubf_stats) = exchange(topo, "hardened-ubf", budget, plan, trace, |id| {
         HardenedUbf::new(tables[id].clone(), backoff)
     });
-    let candidates: Vec<bool> = ubf
-        .iter()
-        .map(|node| node.decide(view.radio_range(), &det.ubf, &det.coordinates))
-        .collect();
+    let candidates = HardenedUbf::decide_all(&ubf, view.radio_range(), &det.ubf, &det.coordinates);
 
     // Phase 2: hardened IFF flood over the *distributed* candidate set.
     let (ttl, repeats) = (det.iff.ttl, config.flood_repeats);

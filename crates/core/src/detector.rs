@@ -2,13 +2,13 @@
 
 use ballfit_netgen::model::NetworkModel;
 use ballfit_obs::{Trace, TraceEvent};
-use ballfit_par::{par_map, Parallelism};
+use ballfit_par::Parallelism;
 use ballfit_wsn::NodeId;
 
 use crate::config::DetectorConfig;
 use crate::grouping::{group_boundaries, BoundaryGroup};
 use crate::iff::apply_iff;
-use crate::localizer::neighborhood_frame_view;
+use crate::localizer::map_frames;
 use crate::ubf::ubf_test;
 use crate::view::NetView;
 
@@ -130,22 +130,22 @@ impl BoundaryDetector {
 
         // The UBF sweep is the pipeline's dominant cost and each node's
         // test reads only its own `witness_hops`-hop frame, so the sweep
-        // shards over worker threads. Per-node outcomes come back in node
-        // order (`par_map` is index-ordered) and the fold below is
-        // sequential, so the result is byte-identical to the plain loop
-        // at every thread count. `None` marks a degenerate neighborhood.
+        // shards over worker threads, local-MDS frames in lane groups of
+        // equal size (`map_frames`). Per-node outcomes come back in node
+        // order and the fold below is sequential, so the result is
+        // byte-identical to the plain loop at every thread count. `None`
+        // marks a degenerate neighborhood.
         trace.open("ubf");
         trace.event(TraceEvent::NetSize { nodes: view.len(), edges: topo.edge_count() });
         let nodes: Vec<NodeId> = (0..view.len()).collect();
-        let outcomes = par_map(self.parallelism, &nodes, |&node| {
-            neighborhood_frame_view(
-                view,
-                node,
-                &self.config.coordinates,
-                self.config.ubf.witness_hops,
-            )
-            .map(|frame| ubf_test(&frame.coords, frame.self_index, range, &self.config.ubf))
-        });
+        let outcomes = map_frames(
+            self.parallelism,
+            view,
+            &nodes,
+            &self.config.coordinates,
+            self.config.ubf.witness_hops,
+            |frame| ubf_test(&frame.coords, frame.self_index, range, &self.config.ubf),
+        );
         for (node, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 Some(out) => {

@@ -68,14 +68,14 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use ballfit_obs::{Trace, TraceEvent};
-use ballfit_par::{par_map, Parallelism};
+use ballfit_par::Parallelism;
 use ballfit_wsn::churn::{DynamicTopology, TopologyDelta};
 use ballfit_wsn::{NodeId, Topology};
 
 use crate::config::DetectorConfig;
 use crate::detector::BoundaryDetection;
 use crate::grouping::BoundaryGroup;
-use crate::localizer::neighborhood_frame_view;
+use crate::localizer::map_frames;
 use crate::ubf::ubf_test;
 use crate::view::NetView;
 
@@ -416,28 +416,25 @@ impl IncrementalDetector {
         self.label.resize(n, None);
     }
 
-    /// Recomputes UBF candidacy for exactly `nodes` — the same per-node
-    /// code path as the from-scratch detector. Returns the nodes whose
+    /// Recomputes UBF candidacy for exactly `nodes` — the same frame
+    /// sweep as the from-scratch detector. Returns the nodes whose
     /// candidate flag actually flipped (ascending, since `nodes` is).
     fn recompute_ubf(&mut self, view: &NetView<'_>, nodes: &[NodeId]) -> Vec<NodeId> {
         // Per-node UBF tests are independent, so big batches — the
         // bootstrap and the from-scratch exactness baselines — shard over
         // workers; per-event halos stay on the caller (they are a handful
-        // of nodes, not worth a thread spawn). Both paths produce the
-        // same outcomes, and the fold below applies them in node order,
-        // so the resulting state is byte-identical either way.
+        // of nodes, not worth a thread spawn). Either way equal-size
+        // local-MDS frames share lane groups, outcomes come back in
+        // `nodes` order and the fold below applies them in that order, so
+        // the resulting state is byte-identical.
         const PAR_FLOOR: usize = 64;
         let config = &self.config;
-        let probe = |&node: &NodeId| {
-            neighborhood_frame_view(view, node, &config.coordinates, config.ubf.witness_hops).map(
-                |frame| ubf_test(&frame.coords, frame.self_index, view.radio_range(), &config.ubf),
-            )
-        };
-        let outcomes = if nodes.len() >= PAR_FLOOR && self.parallelism.get() > 1 {
-            par_map(self.parallelism, nodes, probe)
-        } else {
-            nodes.iter().map(probe).collect()
-        };
+        let par =
+            if nodes.len() >= PAR_FLOOR { self.parallelism } else { Parallelism::sequential() };
+        let outcomes =
+            map_frames(par, view, nodes, &config.coordinates, config.ubf.witness_hops, |frame| {
+                ubf_test(&frame.coords, frame.self_index, view.radio_range(), &config.ubf)
+            });
 
         let mut flips = Vec::new();
         for (&node, outcome) in nodes.iter().zip(outcomes) {
@@ -593,6 +590,7 @@ impl IncrementalDetector {
 mod tests {
     use super::*;
     use crate::detector::BoundaryDetector;
+    use crate::localizer::neighborhood_frame_view;
     use crate::ubf::UbfOutcome;
     use ballfit_geom::Vec3;
     use ballfit_netgen::builder::NetworkBuilder;

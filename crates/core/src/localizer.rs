@@ -8,8 +8,11 @@
 //! `ballfit-mds`).
 
 use ballfit_geom::Vec3;
-use ballfit_mds::local::{embed_local, LocalDistances};
+use ballfit_mds::eigen::{lane_groups, LaneScratch};
+use ballfit_mds::local::{embed_local, embed_local_many, LocalDistances};
+use ballfit_netgen::measure::DistanceOracle;
 use ballfit_netgen::model::NetworkModel;
+use ballfit_par::{par_map, par_map_init, Parallelism};
 use ballfit_wsn::NodeId;
 
 use crate::config::CoordinateSource;
@@ -76,19 +79,7 @@ pub fn neighborhood_frame_view(
             if members.len() < 2 {
                 return None;
             }
-            let oracle = view.oracle(*error, *noise_seed);
-            let mut table = LocalDistances::new(members.len());
-            for a in 0..members.len() {
-                for b in (a + 1)..members.len() {
-                    let (i, j) = (members[a], members[b]);
-                    // Only mutually-adjacent pairs can range each other.
-                    if topo.are_neighbors(i, j) {
-                        table.set(a, b, oracle.measure(i, j, view.true_distance(i, j)));
-                    }
-                }
-            }
-            // Unmeasured pairs are out-of-range pairs: assert the radio
-            // range as a distance floor during refinement.
+            let table = measured_table(view, &view.oracle(*error, *noise_seed), &members);
             // Note on floors: `ballfit-mds` can assert a distance floor on
             // unmeasured (out-of-range) pairs during refinement. At
             // moderate noise that trades a little recall for precision,
@@ -104,6 +95,119 @@ pub fn neighborhood_frame_view(
             })
         }
     }
+}
+
+/// The frames of `nodes`, in `nodes` order, each bit-identical to
+/// [`neighborhood_frame_view`] of that node.
+///
+/// Local-MDS frames of equal member count are embedded together in
+/// [`lane_groups`] by [`embed_local_many`]: their eigendecompositions run
+/// as lock-step lane passes. Every frame is alive at once in the result;
+/// the detector's and the incremental detector's sweeps keep only one
+/// lane group's frames alive per worker.
+pub fn neighborhood_frames_view(
+    view: &NetView<'_>,
+    nodes: &[NodeId],
+    source: &CoordinateSource,
+    k: u32,
+) -> Vec<Option<NeighborhoodFrame>> {
+    map_frames(Parallelism::sequential(), view, nodes, source, k, |frame| frame)
+}
+
+/// `f` of every frame of `nodes` on `par` workers, in `nodes` order
+/// (`None` where [`neighborhood_frame_view`] has no frame) — byte-identical
+/// at every thread count.
+///
+/// Known coordinates have no eigensolve to share, so those nodes keep
+/// their order. Local-MDS nodes are cut into [`lane_groups`] by
+/// closed-neighbourhood size, which the topology gives before any
+/// measurement (`degree + 1` at `k = 1`); largest first, so the sweep
+/// ends on its cheapest groups. Workers take whole groups, each with its
+/// own [`LaneScratch`], and drop a group's frames once `f` has read them.
+pub(crate) fn map_frames<T, F>(
+    par: Parallelism,
+    view: &NetView<'_>,
+    nodes: &[NodeId],
+    source: &CoordinateSource,
+    k: u32,
+    f: F,
+) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(NeighborhoodFrame) -> T + Sync,
+{
+    let CoordinateSource::LocalMds { error, noise_seed, .. } = source else {
+        return par_map(par, nodes, |&node| neighborhood_frame_view(view, node, source, k).map(&f));
+    };
+    let topo = view.topology();
+    let sizes: Vec<usize> = nodes
+        .iter()
+        .map(|&node| {
+            if k == 1 {
+                topo.degree(node) + 1
+            } else {
+                topo.closed_k_hop_neighborhood(node, k).len()
+            }
+        })
+        .collect();
+    let groups = lane_groups(&sizes);
+    let config = source.frame_config();
+    let per_group = par_map_init(par, &groups, LaneScratch::default, |scratch, _, group| {
+        if sizes[group[0]] < 2 {
+            // Lone nodes: no frame, and nothing to measure.
+            return group.iter().map(|_| None).collect();
+        }
+        let oracle = view.oracle(*error, *noise_seed);
+        let members: Vec<Vec<NodeId>> =
+            group.iter().map(|&at| topo.closed_k_hop_neighborhood(nodes[at], k)).collect();
+        let tables: Vec<LocalDistances> =
+            members.iter().map(|members| measured_table(view, &oracle, members)).collect();
+        let frames = embed_local_many(tables, config, scratch);
+        group
+            .iter()
+            .zip(members)
+            .zip(frames)
+            .map(|((&at, members), frame)| {
+                let frame = frame.ok()?;
+                let self_index =
+                    members.binary_search(&nodes[at]).expect("node is in its own neighborhood");
+                Some(f(NeighborhoodFrame {
+                    members,
+                    self_index,
+                    coords: frame.coords,
+                    stress: frame.stress,
+                }))
+            })
+            .collect::<Vec<_>>()
+    });
+
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(nodes.len()).collect();
+    for (group, results) in groups.iter().zip(per_group) {
+        for (&at, result) in group.iter().zip(results) {
+            out[at] = result;
+        }
+    }
+    out
+}
+
+/// The measurement table of `members`: every mutually-adjacent pair
+/// (only those can range each other) measured through `oracle`.
+fn measured_table(
+    view: &NetView<'_>,
+    oracle: &DistanceOracle,
+    members: &[NodeId],
+) -> LocalDistances {
+    let topo = view.topology();
+    let mut table = LocalDistances::new(members.len());
+    for a in 0..members.len() {
+        for b in (a + 1)..members.len() {
+            let (i, j) = (members[a], members[b]);
+            if topo.are_neighbors(i, j) {
+                table.set(a, b, oracle.measure(i, j, view.true_distance(i, j)));
+            }
+        }
+    }
+    table
 }
 
 #[cfg(test)]

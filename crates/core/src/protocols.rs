@@ -46,7 +46,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ballfit_mds::local::{embed_local, LocalDistances};
+use ballfit_mds::eigen::{lane_groups, LaneScratch};
+use ballfit_mds::local::{embed_local, embed_local_many, LocalDistances, LocalFrame};
 use ballfit_obs::{MsgBytes, Trace, TraceEvent};
 use ballfit_wsn::faults::FaultPlan;
 use ballfit_wsn::flood::{FragmentFlood, HardenedFragmentFlood};
@@ -229,48 +230,80 @@ impl UbfProtocol {
     /// positions directly; the protocol only ever sees distances, so it
     /// embeds them — the frames are isometric and the outcome identical.
     pub fn decide(&self, radio_range: f64, cfg: &UbfConfig, source: &CoordinateSource) -> bool {
-        decide_from_tables(self.id, &self.own_table, &self.received, radio_range, cfg, source)
+        let Some((self_index, table)) = self.local_table() else {
+            return cfg.degenerate_is_boundary;
+        };
+        let frame = embed_local(&table, source.frame_config());
+        decision(frame.as_ref().ok(), self_index, radio_range, cfg)
+    }
+
+    /// [`UbfProtocol::decide`] of every node in `nodes`, in order, with the
+    /// same bits. Closed neighbourhoods of equal size are embedded in lane
+    /// groups ([`embed_local_many`]), one group's tables alive at a time.
+    pub fn decide_all<'a>(
+        nodes: impl IntoIterator<Item = &'a UbfProtocol>,
+        radio_range: f64,
+        cfg: &UbfConfig,
+        source: &CoordinateSource,
+    ) -> Vec<bool> {
+        let nodes: Vec<&UbfProtocol> = nodes.into_iter().collect();
+        let config = source.frame_config();
+        let mut flags = vec![cfg.degenerate_is_boundary; nodes.len()];
+        let mut scratch = LaneScratch::default();
+        let sizes: Vec<usize> = nodes.iter().map(|node| node.own_table.len() + 1).collect();
+        for group in lane_groups(&sizes) {
+            let (at, (self_index, tables)): (Vec<usize>, (Vec<usize>, Vec<LocalDistances>)) =
+                group.iter().filter_map(|&at| Some((at, nodes[at].local_table()?))).unzip();
+            let frames = embed_local_many(tables, config, &mut scratch);
+            for ((at, self_index), frame) in at.into_iter().zip(self_index).zip(frames) {
+                flags[at] = decision(frame.as_ref().ok(), self_index, radio_range, cfg);
+            }
+        }
+        flags
+    }
+
+    /// The measured-distance table of the closed neighbourhood (ascending
+    /// ID order: self and neighbours) from the collected tables, with the
+    /// node's own index in it; `None` for a neighbourhood of one.
+    fn local_table(&self) -> Option<(usize, LocalDistances)> {
+        let id = self.id;
+        let mut members: Vec<NodeId> = self.own_table.iter().map(|&(j, _)| j).collect();
+        members.push(id);
+        members.sort_unstable();
+        if members.len() < 2 {
+            return None;
+        }
+        let index: BTreeMap<NodeId, usize> =
+            members.iter().enumerate().map(|(a, &m)| (m, a)).collect();
+        let mut table = LocalDistances::new(members.len());
+        let mut add = |a: NodeId, b: NodeId, d: f64| {
+            table.set(index[&a], index[&b], d);
+        };
+        for &(j, d) in &self.own_table {
+            add(id, j, d);
+        }
+        for (&j, jt) in &self.received {
+            for &(k, d) in jt {
+                if k != id && index.contains_key(&k) {
+                    add(j, k, d);
+                }
+            }
+        }
+        Some((index[&id], table))
     }
 }
 
-/// The UBF decision from collected neighbor tables: local embedding of the
-/// closed neighborhood, then the ball test — exactly as the centralized
-/// detector computes it. Shared by [`UbfProtocol`] and [`HardenedUbf`].
-fn decide_from_tables(
-    id: NodeId,
-    own_table: &[(NodeId, f64)],
-    received: &BTreeMap<NodeId, Vec<(NodeId, f64)>>,
+/// The UBF verdict of a node whose local embedding is `frame` (`None`:
+/// the embedding failed, a degenerate neighbourhood).
+fn decision(
+    frame: Option<&LocalFrame>,
+    self_index: usize,
     radio_range: f64,
     cfg: &UbfConfig,
-    source: &CoordinateSource,
 ) -> bool {
-    // Closed neighborhood in ascending ID order (self + neighbors).
-    let mut members: Vec<NodeId> = own_table.iter().map(|&(j, _)| j).collect();
-    members.push(id);
-    members.sort_unstable();
-    if members.len() < 2 {
-        return cfg.degenerate_is_boundary;
-    }
-    let index: BTreeMap<NodeId, usize> = members.iter().enumerate().map(|(a, &m)| (m, a)).collect();
-    let mut table = LocalDistances::new(members.len());
-    let mut add = |a: NodeId, b: NodeId, d: f64| {
-        table.set(index[&a], index[&b], d);
-    };
-    for &(j, d) in own_table {
-        add(id, j, d);
-    }
-    for (&j, jt) in received {
-        for &(k, d) in jt {
-            if k != id && index.contains_key(&k) {
-                add(j, k, d);
-            }
-        }
-    }
-    let Ok(frame) = embed_local(&table, source.frame_config()) else {
-        return cfg.degenerate_is_boundary;
-    };
-    let self_index = index[&id];
-    ubf_test(&frame.coords, self_index, radio_range, cfg).is_boundary
+    frame.map_or(cfg.degenerate_is_boundary, |frame| {
+        ubf_test(&frame.coords, self_index, radio_range, cfg).is_boundary
+    })
 }
 
 impl Protocol for UbfProtocol {
@@ -306,7 +339,7 @@ pub fn run_ubf_protocol(
     let (nodes, stats) =
         exchange(view.topology(), "ubf", 4, &FaultPlan::none(), trace, |id| states[id].clone());
     let stats = require_quiescent(stats, "ubf")?;
-    let flags = nodes.iter().map(|node| node.decide(view.radio_range(), cfg, source)).collect();
+    let flags = UbfProtocol::decide_all(&nodes, view.radio_range(), cfg, source);
     Ok((flags, stats))
 }
 
@@ -371,6 +404,17 @@ impl HardenedUbf {
     /// degrades the decision locally rather than failing the run.
     pub fn decide(&self, radio_range: f64, cfg: &UbfConfig, source: &CoordinateSource) -> bool {
         self.inner.decide(radio_range, cfg, source)
+    }
+
+    /// [`HardenedUbf::decide`] of every node in `nodes`, in order, through
+    /// [`UbfProtocol::decide_all`].
+    pub fn decide_all(
+        nodes: &[HardenedUbf],
+        radio_range: f64,
+        cfg: &UbfConfig,
+        source: &CoordinateSource,
+    ) -> Vec<bool> {
+        UbfProtocol::decide_all(nodes.iter().map(|node| &node.inner), radio_range, cfg, source)
     }
 
     /// True if the retry budget ran out with some neighbor still unacked:
@@ -460,7 +504,7 @@ pub fn run_hardened_ubf(
         HardenedUbf::new(tables[id].clone(), backoff)
     });
     let stats = require_quiescent(stats, "ubf")?;
-    let flags = nodes.iter().map(|node| node.decide(view.radio_range(), cfg, source)).collect();
+    let flags = HardenedUbf::decide_all(&nodes, view.radio_range(), cfg, source);
     Ok((flags, stats))
 }
 

@@ -2,7 +2,7 @@
 
 use ballfit_geom::Vec3;
 
-use crate::eigen::jacobi_eigen;
+use crate::eigen::{jacobi_eigen, LaneScratch};
 use crate::matrix::SquareMatrix;
 use crate::MdsError;
 
@@ -21,8 +21,50 @@ use crate::MdsError;
 ///
 /// # Panics
 ///
-/// Panics if `distances` is not symmetric within `1e-8`.
+/// Panics if `distances` is not symmetric within
+/// `1e-8 · max(1, max |d_ij|)`.
 pub fn classical_mds(distances: &SquareMatrix) -> Result<Vec<Vec3>, MdsError> {
+    check_distances(distances)?;
+    let eig = jacobi_eigen(&gram_matrix(distances));
+    Ok(embedding(&eig.values, |i, axis| eig.vectors[(i, axis)]))
+}
+
+/// [`classical_mds`] of same-size matrices that passed
+/// [`check_distances`], in lane passes of 8, 4, 2 and 1 matrices (widest
+/// first); each lane's Gram matrix is dropped once loaded.
+pub(crate) fn classical_mds_lanes(
+    scratch: &mut LaneScratch,
+    distances: &[&SquareMatrix],
+) -> Vec<Vec<Vec3>> {
+    fn lanes<const L: usize>(
+        scratch: &mut LaneScratch,
+        distances: &[&SquareMatrix],
+    ) -> Vec<Vec<Vec3>> {
+        let mut lanes = scratch.lanes::<L>(distances[0].n());
+        for (lane, d) in distances.iter().enumerate() {
+            lanes.load(lane, &gram_matrix(d));
+        }
+        lanes.solve(|eig| embedding(&eig.values, |i, axis| eig.vector(i, axis))).into()
+    }
+    let mut coords = Vec::with_capacity(distances.len());
+    let mut rest = distances;
+    while !rest.is_empty() {
+        let width = [8, 4, 2].into_iter().find(|&w| w <= rest.len()).unwrap_or(1);
+        let (group, tail) = rest.split_at(width);
+        coords.extend(match width {
+            8 => lanes::<8>(scratch, group),
+            4 => lanes::<4>(scratch, group),
+            2 => lanes::<2>(scratch, group),
+            _ => lanes::<1>(scratch, group),
+        });
+        rest = tail;
+    }
+    coords
+}
+
+/// The errors [`classical_mds`] documents: fewer than 2 points, or a
+/// negative or non-finite distance.
+pub(crate) fn check_distances(distances: &SquareMatrix) -> Result<(), MdsError> {
     let n = distances.n();
     if n < 2 {
         return Err(MdsError::TooFewPoints { points: n });
@@ -35,24 +77,42 @@ pub fn classical_mds(distances: &SquareMatrix) -> Result<Vec<Vec3>, MdsError> {
             }
         }
     }
-    assert!(distances.is_symmetric(1e-8), "distance matrix must be symmetric");
+    Ok(())
+}
 
+/// The matrix classical MDS decomposes: the double-centred squared
+/// distances.
+///
+/// # Panics
+///
+/// Panics if `distances` is not symmetric within
+/// `1e-8 · max(1, max |d_ij|)`.
+fn gram_matrix(distances: &SquareMatrix) -> SquareMatrix {
+    assert!(
+        distances.is_symmetric(distances.symmetry_tolerance()),
+        "distance matrix must be symmetric"
+    );
+    let n = distances.n();
     let squared = SquareMatrix::from_fn(n, |i, j| distances[(i, j)].powi(2));
-    let b = squared.double_centered();
-    let eig = jacobi_eigen(&b);
+    squared.double_centered()
+}
 
-    // Top three non-negative eigenpairs give the 3D embedding. Noisy or
-    // non-Euclidean inputs can push trailing eigenvalues negative; those
-    // axes are dropped (coordinate 0), the standard classical-MDS practice.
+/// The 3D embedding of a Gram matrix from its eigenvalues (descending) and
+/// `vector(i, k)`, component `i` of eigenvector `k`.
+///
+/// Top three non-negative eigenpairs give the 3D embedding. Noisy or
+/// non-Euclidean inputs can push trailing eigenvalues negative; those
+/// axes are dropped (coordinate 0), the standard classical-MDS practice.
+fn embedding(values: &[f64], vector: impl Fn(usize, usize) -> f64) -> Vec<Vec3> {
+    let n = values.len();
     let mut coords = vec![Vec3::ZERO; n];
-    for axis in 0..3.min(n) {
-        let lambda = eig.values[axis];
+    for (axis, &lambda) in values.iter().enumerate().take(3) {
         if lambda <= 0.0 {
             break;
         }
         let scale = lambda.sqrt();
         for (i, c) in coords.iter_mut().enumerate() {
-            let value = scale * eig.vectors[(i, axis)];
+            let value = scale * vector(i, axis);
             match axis {
                 0 => c.x = value,
                 1 => c.y = value,
@@ -60,7 +120,7 @@ pub fn classical_mds(distances: &SquareMatrix) -> Result<Vec<Vec3>, MdsError> {
             }
         }
     }
-    Ok(coords)
+    coords
 }
 
 /// Root-mean-square discrepancy between a coordinate embedding and a target
@@ -144,6 +204,22 @@ mod tests {
         d[(0, 1)] = -1.0;
         d[(1, 0)] = -1.0;
         assert_eq!(classical_mds(&d), Err(MdsError::InvalidDistance { row: 0, col: 1 }));
+    }
+
+    #[test]
+    fn symmetry_check_scales_with_the_distances() {
+        // A tetrahedron scaled by 2^30 with one distance one ulp off: the
+        // asymmetry is 2^-22 ≈ 2.4e-7 absolute, 2.2e-16 relative.
+        let scale = (1u64 << 30) as f64;
+        let pts: Vec<Vec3> = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.3, 0.9, 0.0), (0.2, 0.3, 0.8)]
+            .iter()
+            .map(|&(x, y, z)| Vec3::new(x, y, z) * scale)
+            .collect();
+        let mut d = distance_matrix(&pts);
+        d[(0, 1)] = f64::from_bits(d[(0, 1)].to_bits() + 1);
+        assert!(!d.is_symmetric(1e-8));
+        let rec = classical_mds(&d).unwrap();
+        assert!(embedding_rmse(&rec, &d) < 1e-6 * scale);
     }
 
     #[test]

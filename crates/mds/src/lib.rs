@@ -15,7 +15,9 @@
 //! * [`matrix::SquareMatrix`] — small dense matrices.
 //! * [`eigen::jacobi_eigen`] — a cyclic Jacobi eigensolver for symmetric
 //!   matrices (neighborhood sizes are ≤ a few dozen, where Jacobi is both
-//!   simple and accurate).
+//!   simple and accurate), and [`eigen::jacobi_eigen_lanes`], the same
+//!   solver run on up to eight same-size matrices in lock-step lanes,
+//!   each lane bit-identical to `jacobi_eigen`.
 //! * [`cmds::classical_mds`] — classical (Torgerson) MDS: squared-distance
 //!   double centering followed by a top-`k` eigendecomposition.
 //! * [`smacof`] — SMACOF stress-majorization refinement, the iterative
@@ -23,6 +25,8 @@
 //! * [`local::LocalFrame`] — the end-to-end per-node pipeline: complete
 //!   missing pairwise distances by shortest paths within the neighborhood,
 //!   run classical MDS, optionally refine with SMACOF.
+//!   [`local::embed_local_many`] embeds many neighborhoods at once, same-size
+//!   ones sharing lane passes, with the bits of [`local::embed_local`].
 //!
 //! # Example
 //!

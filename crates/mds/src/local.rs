@@ -10,7 +10,8 @@
 
 use ballfit_geom::Vec3;
 
-use crate::cmds::classical_mds;
+use crate::cmds::{check_distances, classical_mds_lanes};
+use crate::eigen::{lane_groups, LaneScratch};
 use crate::matrix::SquareMatrix;
 use crate::smacof::{self, SmacofConfig};
 use crate::MdsError;
@@ -79,32 +80,48 @@ impl LocalDistances {
     /// [`MdsError::DisconnectedNeighborhood`] if some pair remains
     /// unreachable.
     pub fn complete(&self) -> Result<SquareMatrix, MdsError> {
-        let n = self.len();
-        let mut d = self.measured.clone();
-        for k in 0..n {
-            // Row k never changes in round k (d_kk = 0), so every other row
-            // reads it as a slice.
-            for i in (0..n).filter(|&i| i != k) {
-                let dik = d[(i, k)];
-                if !dik.is_finite() {
-                    continue;
-                }
-                let (row_i, row_k) = d.row_and(i, k);
-                for (x, &dkj) in row_i.iter_mut().zip(row_k) {
-                    let via = dik + dkj;
-                    *x = if via < *x { via } else { *x };
-                }
-            }
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if !d[(i, j)].is_finite() {
-                    return Err(MdsError::DisconnectedNeighborhood);
-                }
-            }
-        }
-        Ok(d)
+        shortest_paths(self.measured.clone())
     }
+
+    /// [`LocalDistances::complete`] in the table's own storage, with which
+    /// pairs were measured (`i ≠ j`, row-major).
+    fn into_complete(self) -> Result<(SquareMatrix, Vec<bool>), MdsError> {
+        let n = self.len();
+        let measured = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .map(|(i, j)| i != j && self.measured[(i, j)].is_finite())
+            .collect();
+        Ok((shortest_paths(self.measured)?, measured))
+    }
+}
+
+/// All-pairs shortest paths over `d` in place (Floyd–Warshall;
+/// neighborhoods are small), from the table's starting matrix.
+fn shortest_paths(mut d: SquareMatrix) -> Result<SquareMatrix, MdsError> {
+    let n = d.n();
+    for k in 0..n {
+        // Row k never changes in round k (d_kk = 0), so every other row
+        // reads it as a slice.
+        for i in (0..n).filter(|&i| i != k) {
+            let dik = d[(i, k)];
+            if !dik.is_finite() {
+                continue;
+            }
+            let (row_i, row_k) = d.row_and(i, k);
+            for (x, &dkj) in row_i.iter_mut().zip(row_k) {
+                let via = dik + dkj;
+                *x = if via < *x { via } else { *x };
+            }
+        }
+    }
+    for i in 0..n {
+        for j in 0..n {
+            if !d[(i, j)].is_finite() {
+                return Err(MdsError::DisconnectedNeighborhood);
+            }
+        }
+    }
+    Ok(d)
 }
 
 /// Configuration of the local embedding.
@@ -145,7 +162,8 @@ pub struct LocalFrame {
     pub stress: f64,
 }
 
-/// Embeds a neighborhood into a local 3D frame.
+/// Embeds a neighborhood into a local 3D frame: the one-table case of
+/// [`embed_local_many`].
 ///
 /// # Errors
 ///
@@ -155,25 +173,77 @@ pub fn embed_local(
     distances: &LocalDistances,
     config: LocalFrameConfig,
 ) -> Result<LocalFrame, MdsError> {
-    let full = distances.complete()?;
-    let mut coords = classical_mds(&full)?;
-    // Refinement is weighted to the *measured* pairs: the shortest-path
-    // completions seeded classical MDS but are systematically inflated, so
-    // they must not keep pulling on the refined frame.
-    let measured = |i: usize, j: usize| i != j && distances.get(i, j).is_some();
-    let stress = match (config.refine, config.missing_floor) {
-        (false, _) => smacof::stress(&coords, &full, measured),
-        (true, None) => smacof::refine_weighted(&mut coords, &full, measured, config.smacof),
+    let mut frames = embed_local_many(vec![distances.clone()], config, &mut LaneScratch::default());
+    frames.pop().expect("one frame per table")
+}
+
+/// Embeds many neighborhoods, one result per table in `tables` order, each
+/// bit-identical to [`embed_local`] of that table.
+///
+/// Tables are taken in [`lane_groups`] of equal member count. Each table
+/// of a group is completed in its own storage, and the group runs
+/// classical MDS's eigendecompositions as lock-step lane passes in
+/// `scratch`; only one group's matrices are alive at a time.
+///
+/// # Errors
+///
+/// Each result carries its own table's [`MdsError`], as for
+/// [`embed_local`].
+pub fn embed_local_many(
+    tables: Vec<LocalDistances>,
+    config: LocalFrameConfig,
+    scratch: &mut LaneScratch,
+) -> Vec<Result<LocalFrame, MdsError>> {
+    let mut frames = vec![None; tables.len()];
+    let sizes: Vec<usize> = tables.iter().map(LocalDistances::len).collect();
+    let mut tables: Vec<Option<LocalDistances>> = tables.into_iter().map(Some).collect();
+    for group in lane_groups(&sizes) {
+        let mut lanes = Vec::with_capacity(group.len());
+        for t in group {
+            let table = tables[t].take().expect("each table is embedded once");
+            match table.into_complete().and_then(|(full, measured)| {
+                check_distances(&full)?;
+                Ok((full, measured))
+            }) {
+                Ok((full, measured)) => lanes.push((t, full, measured)),
+                Err(e) => frames[t] = Some(Err(e)),
+            }
+        }
+        let fulls: Vec<&SquareMatrix> = lanes.iter().map(|(_, full, _)| full).collect();
+        let embeddings = classical_mds_lanes(scratch, &fulls);
+        for ((t, full, measured), mut coords) in lanes.iter().zip(embeddings) {
+            let stress = refine(full, measured, &mut coords, config);
+            frames[*t] = Some(Ok(LocalFrame { coords, stress }));
+        }
+    }
+    frames.into_iter().map(|frame| frame.expect("every table is embedded")).collect()
+}
+
+/// Refines classical MDS's `coords` per `config` and returns the stress.
+///
+/// Refinement is weighted to the *measured* pairs: the shortest-path
+/// completions seeded classical MDS but are systematically inflated, so
+/// they must not keep pulling on the refined frame.
+fn refine(
+    full: &SquareMatrix,
+    measured: &[bool],
+    coords: &mut [Vec3],
+    config: LocalFrameConfig,
+) -> f64 {
+    let n = full.n();
+    let measured = |i: usize, j: usize| measured[i * n + j];
+    match (config.refine, config.missing_floor) {
+        (false, _) => smacof::stress(coords, full, measured),
+        (true, None) => smacof::refine_weighted(coords, full, measured, config.smacof),
         (true, Some(floor)) => smacof::refine_with_floors(
-            &mut coords,
-            &full,
+            coords,
+            full,
             measured,
-            |i, j| (i != j && distances.get(i, j).is_none()).then_some(floor),
+            |i, j| (i != j && !measured(i, j)).then_some(floor),
             config.floor_weight,
             config.smacof,
         ),
-    };
-    Ok(LocalFrame { coords, stress })
+    }
 }
 
 #[cfg(test)]

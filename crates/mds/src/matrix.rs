@@ -4,8 +4,10 @@ use std::fmt;
 
 /// A dense row-major square matrix of `f64`.
 ///
-/// Sized for local-neighborhood work (tens of rows); no attempt is made at
-/// cache blocking or SIMD.
+/// Sized for local-neighborhood work (tens of rows), so no cache blocking.
+/// Its own operations are scalar; the eigensolver copies matrices into
+/// interleaved lanes ([`crate::eigen::LaneScratch`]) whose rotations the
+/// compiler vectorises across matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SquareMatrix {
     n: usize,
@@ -57,8 +59,16 @@ impl SquareMatrix {
     }
 
     /// The largest absolute entry, 0 for an empty matrix.
-    pub(crate) fn max_abs(&self) -> f64 {
+    fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |max, x| max.max(x.abs()))
+    }
+
+    /// The symmetry tolerance of the MDS kernel, `1e-8 · max(1, max |m_ij|)`:
+    /// relative to the largest entry, because distances and double-centred
+    /// squared distances grow with the network's scale and so does their
+    /// rounding asymmetry. Never stricter than an absolute `1e-8`.
+    pub(crate) fn symmetry_tolerance(&self) -> f64 {
+        1e-8 * self.max_abs().max(1.0)
     }
 
     /// Row `i`, mutable, next to row `k`.
@@ -124,38 +134,6 @@ impl SquareMatrix {
             }
         }
         s.sqrt()
-    }
-
-    /// Rotates columns `p < q` in place, walking the rows:
-    /// `(col_p, col_q) ← (c·col_p − s·col_q, s·col_p + c·col_q)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p < q < n`.
-    pub(crate) fn rotate_columns(&mut self, p: usize, q: usize, c: f64, s: f64) {
-        assert!(p < q && q < self.n, "invalid column pair ({p}, {q})");
-        for row in self.data.chunks_exact_mut(self.n) {
-            let (xp, xq) = (row[p], row[q]);
-            row[p] = c * xp - s * xq;
-            row[q] = s * xp + c * xq;
-        }
-    }
-
-    /// Rotates rows `p < q` in place, two contiguous slices:
-    /// `(row_p, row_q) ← (c·row_p − s·row_q, s·row_p + c·row_q)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p < q < n`.
-    pub(crate) fn rotate_rows(&mut self, p: usize, q: usize, c: f64, s: f64) {
-        assert!(p < q && q < self.n, "invalid row pair ({p}, {q})");
-        let n = self.n;
-        let (head, tail) = self.data.split_at_mut(q * n);
-        for (xp, xq) in head[p * n..(p + 1) * n].iter_mut().zip(&mut tail[..n]) {
-            let (vp, vq) = (*xp, *xq);
-            *xp = c * vp - s * vq;
-            *xq = s * vp + c * vq;
-        }
     }
 
     /// Applies the double-centering operator used by classical MDS:

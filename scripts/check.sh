@@ -69,6 +69,11 @@
 #                               and every results/*.csv and
 #                               results/*.svg from the E1-E13 bins.
 #                               Other console logs are not compared.
+#  14. ubf_scaling --smoke      E17 thread ladder with known coordinates
+#                               and with paper(10, 7) local-MDS frames
+#                               in lane groups: every run byte-identical
+#                               to one thread, batched frames bit-equal
+#                               to one-node frames; emits valid JSON
 #
 # The workspace has no registry dependencies: every gate runs under plain
 # cargo, offline.
@@ -201,6 +206,10 @@ done
 for committed in results/*.csv results/*.svg; do
     cmp "$ART_DIR/$(basename "$committed")" "$committed"
 done
+
+step "ubf_scaling --smoke (E17 thread ladder, lane-grouped frames byte-identical)"
+BALLFIT_RESULTS="$SMOKE_DIR" cargo run -q --release -p ballfit-bench --bin ubf_scaling -- --smoke
+cargo run -q --release -p ballfit-bench --bin ubf_scaling -- --validate "$SMOKE_DIR/ubf_scaling.json"
 
 echo
 echo "check.sh: all gates green"

@@ -5,15 +5,19 @@
 //! row-major storage, but every floating-point operation happens in the
 //! same order as in the index-based versions kept below as references.
 //! These pins compare f64 bits on seeded matrices (diagonal, repeated
-//! eigenvalues, exact-zero and sub-1e-300 off-diagonal entries, double-
-//! centred distance matrices symmetric only within 1e-8) and on every
-//! node's frame of the five gallery networks at 0, 10, 30 and 100% error.
+//! eigenvalues, exact-zero and sub-1e-300 off-diagonal entries, a −0.0
+//! diagonal beside a dense block, double-centred distance matrices
+//! symmetric only within 1e-8), on the lane kernel at every width it runs
+//! at (lanes of different families, so they converge in different sweeps
+//! and one skips while others rotate), and on every node's frame of the
+//! five gallery networks at 0, 10, 30 and 100% error, one node at a time
+//! and batched over a shuffled node list.
 
 use ballfit::config::CoordinateSource;
-use ballfit::localizer::neighborhood_frame_view;
+use ballfit::localizer::{neighborhood_frame_view, neighborhood_frames_view, NeighborhoodFrame};
 use ballfit::view::NetView;
 use ballfit_geom::Vec3;
-use ballfit_mds::eigen::{jacobi_eigen, EigenDecomposition};
+use ballfit_mds::eigen::{jacobi_eigen, jacobi_eigen_lanes, EigenDecomposition};
 use ballfit_mds::local::LocalDistances;
 use ballfit_mds::matrix::SquareMatrix;
 use ballfit_mds::smacof::{refine_weighted, SmacofConfig};
@@ -21,6 +25,7 @@ use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::measure::ErrorModel;
 use ballfit_netgen::scenario::Scenario;
 use ballfit_rng::{Rng, StdRng};
+use ballfit_wsn::NodeId;
 
 /// The reference kernel: the index-based formulation (nested distance
 /// table, `V` untransposed, per-call closures) the flat kernel must match
@@ -286,6 +291,15 @@ fn jacobi_cases(rng: &mut StdRng, n: usize) -> Vec<(&'static str, SquareMatrix)>
             _ => tiny[rng.gen_range(0..tiny.len())],
         }),
     ));
+    // A dense block beside rows of signed zeros: the zero rows skip every
+    // rotation while the block keeps the matrix unconverged, so the −0.0
+    // diagonal must come out as −0.0 even from lanes that skip while
+    // others rotate.
+    let half = n / 2;
+    cases.push((
+        "signed-zero-block",
+        symmetric(n, |_, j| if j < half { rng.gen_range(-2.0..2.0) } else { -0.0 }),
+    ));
     // Double-centred squared distances whose distance matrix carries an
     // asymmetric relative perturbation of ~1e-12: symmetric only within
     // 1e-8, as classical MDS sees them.
@@ -309,6 +323,37 @@ fn jacobi_matches_the_reference_bit_for_bit() {
             let got = eigen_bits(&jacobi_eigen(&m));
             let want = eigen_bits(&reference::jacobi_eigen(&m));
             assert_eq!(got, want, "n={n}, {name}: eigendecomposition bits differ");
+        }
+    }
+}
+
+/// `W` lanes of size `n`, lane `l` filled with family `(first + l) mod
+/// families` of `cases`; every lane's eigenpairs must equal the
+/// reference's.
+fn lanes_match<const W: usize>(n: usize, cases: &[(&'static str, SquareMatrix)], first: usize) {
+    let lanes: [&(&str, SquareMatrix); W] =
+        std::array::from_fn(|l| &cases[(first + l) % cases.len()]);
+    let got = jacobi_eigen_lanes(lanes.map(|(_, m)| m));
+    for (l, ((name, m), e)) in lanes.iter().zip(&got).enumerate() {
+        let want = eigen_bits(&reference::jacobi_eigen(m));
+        assert_eq!(eigen_bits(e), want, "n={n}, {W} lanes: lane {l} ({name}) differs");
+    }
+}
+
+#[test]
+fn lane_kernel_matches_the_reference_bit_for_bit() {
+    // Mixing families puts a diagonal lane (done before the first sweep)
+    // next to dense ones (several sweeps), and a zero-and-tiny lane (exact
+    // ±0, 5e-324 and other sub-1e-300 entries it must skip) next to lanes
+    // that rotate at the same (p, q).
+    let mut rng = StdRng::seed_from_u64(0x1A4E5);
+    for n in 1..40 {
+        let cases = jacobi_cases(&mut rng, n);
+        for first in 0..cases.len() {
+            lanes_match::<1>(n, &cases, first);
+            lanes_match::<2>(n, &cases, first);
+            lanes_match::<4>(n, &cases, first);
+            lanes_match::<8>(n, &cases, first);
         }
     }
 }
@@ -366,9 +411,14 @@ fn local_distances_match_the_reference() {
     }
 }
 
+fn frame_bits(frame: &NeighborhoodFrame) -> (Vec<NodeId>, usize, Vec<u64>, u64) {
+    (frame.members.clone(), frame.self_index, coord_bits(&frame.coords), frame.stress.to_bits())
+}
+
 /// Every node's production frame on `scenario`'s gallery network equals
 /// the reference embedding of the same measurements, at 0, 10, 30 and
-/// 100% error.
+/// 100% error; the batched frames of a shuffled node list equal the
+/// one-node frames.
 fn gallery_frames_match(scenario: Scenario) {
     let (surface, interior) = match scenario {
         Scenario::BendedPipe => (500, 800),
@@ -384,6 +434,7 @@ fn gallery_frames_match(scenario: Scenario) {
     let view = NetView::from_model(&model);
     let topo = model.topology();
     for percent in [0, 10, 30, 100] {
+        let mut one_by_one = Vec::with_capacity(model.len());
         let source = CoordinateSource::paper_error(percent, 7);
         let oracle = view.oracle(ErrorModel::paper_percent(percent), 7);
         for node in 0..model.len() {
@@ -400,9 +451,20 @@ fn gallery_frames_match(scenario: Scenario) {
             let want = if members.len() < 2 { None } else { reference::embed_local(&table).ok() };
             let got = neighborhood_frame_view(&view, node, &source, 1);
             assert_eq!(
-                got.map(|f| (coord_bits(&f.coords), f.stress.to_bits())),
+                got.as_ref().map(|f| (coord_bits(&f.coords), f.stress.to_bits())),
                 want.map(|(coords, stress)| (coord_bits(&coords), stress.to_bits())),
                 "{scenario}, {percent}% error: frame of node {node} differs"
+            );
+            one_by_one.push(got.as_ref().map(frame_bits));
+        }
+        let mut nodes: Vec<NodeId> = (0..model.len()).collect();
+        StdRng::seed_from_u64(u64::from(percent)).shuffle(&mut nodes);
+        let batched = neighborhood_frames_view(&view, &nodes, &source, 1);
+        for (&node, frame) in nodes.iter().zip(&batched) {
+            assert_eq!(
+                frame.as_ref().map(frame_bits),
+                one_by_one[node],
+                "{scenario}, {percent}% error: batched frame of node {node} differs"
             );
         }
     }

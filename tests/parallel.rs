@@ -15,7 +15,7 @@ use ballfit_netgen::churn::ChurnDriver;
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
 use ballfit_par::Parallelism;
-use ballfit_wsn::churn::ChurnPlan;
+use ballfit_wsn::churn::{ChurnEvent, ChurnPlan};
 
 /// The E17 thread ladder.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -38,20 +38,28 @@ fn assert_identical(a: &BoundaryDetection, b: &BoundaryDetection, what: &str) {
     assert_eq!(a.degenerate_nodes, b.degenerate_nodes, "{what}: degenerate set diverged");
 }
 
+/// Known coordinates (per-node sweep) and the paper's local-MDS frames
+/// (lane groups of equal-size frames per worker).
+fn configs() -> [DetectorConfig; 2] {
+    [DetectorConfig::default(), DetectorConfig::paper(10, 7)]
+}
+
 #[test]
 fn detect_view_is_byte_identical_at_every_thread_count() {
     for (scenario, seed) in [(Scenario::SpaceOneHole, 5), (Scenario::SolidSphere, 17)] {
         let model = model(scenario, seed);
         let view = NetView::from_model(&model);
-        let cfg = DetectorConfig::default();
-        let reference = BoundaryDetector::new(cfg)
-            .with_parallelism(Parallelism::sequential())
-            .detect_view(&view);
-        for threads in THREAD_LADDER {
-            let detection = BoundaryDetector::new(cfg)
-                .with_parallelism(Parallelism::threads(threads))
+        for cfg in configs() {
+            let reference = BoundaryDetector::new(cfg)
+                .with_parallelism(Parallelism::sequential())
                 .detect_view(&view);
-            assert_identical(&detection, &reference, &format!("{scenario:?} at {threads} threads"));
+            for threads in THREAD_LADDER {
+                let detection = BoundaryDetector::new(cfg)
+                    .with_parallelism(Parallelism::threads(threads))
+                    .detect_view(&view);
+                let what = format!("{scenario:?}, {:?}, at {threads} threads", cfg.coordinates);
+                assert_identical(&detection, &reference, &what);
+            }
         }
     }
 }
@@ -114,13 +122,22 @@ fn incremental_maintenance_is_byte_identical_at_every_thread_count() {
         .with_max_drift(0.4 * model.radio_range());
     let schedule = plan.schedule(model.len());
     let events = schedule.len().min(60);
-    let config = DetectorConfig::default();
+    for config in configs() {
+        incremental_matches_at_every_thread_count(&model, config, &schedule[..events]);
+    }
+}
 
+fn incremental_matches_at_every_thread_count(
+    model: &NetworkModel,
+    config: DetectorConfig,
+    schedule: &[ChurnEvent],
+) {
+    let events = schedule.len();
     let run = |par: Parallelism| {
-        let mut driver = ChurnDriver::new(&model, 7);
+        let mut driver = ChurnDriver::new(model, 7);
         let mut inc = IncrementalDetector::new_with_parallelism(config, driver.dynamic(), par);
         let mut per_event = Vec::with_capacity(events);
-        for ev in schedule.iter().take(events) {
+        for ev in schedule {
             let (_, delta) = driver.step(ev).expect("in-shape sampling never exhausts");
             inc.apply(driver.dynamic(), &delta);
             per_event.push(inc.detection());
@@ -132,11 +149,12 @@ fn incremental_maintenance_is_byte_identical_at_every_thread_count() {
     for threads in THREAD_LADDER {
         let detections = run(Parallelism::threads(threads));
         for (i, (d, r)) in detections.iter().zip(&reference).enumerate() {
-            assert_identical(d, r, &format!("event {i} at {threads} threads"));
+            let what = format!("{:?}, event {i} at {threads} threads", config.coordinates);
+            assert_identical(d, r, &what);
         }
         // And the final state matches a from-scratch parallel detect.
-        let mut driver = ChurnDriver::new(&model, 7);
-        for ev in schedule.iter().take(events) {
+        let mut driver = ChurnDriver::new(model, 7);
+        for ev in schedule {
             driver.step(ev).expect("in-shape sampling never exhausts");
         }
         let dynamic = driver.dynamic();
@@ -147,7 +165,7 @@ fn incremental_maintenance_is_byte_identical_at_every_thread_count() {
         assert_identical(
             detections.last().expect("at least one event"),
             &full,
-            &format!("incremental-vs-full at {threads} threads"),
+            &format!("{:?}: incremental-vs-full at {threads} threads", config.coordinates),
         );
     }
 }

@@ -1,13 +1,14 @@
 //! Integration: the message-passing protocol executions agree with the
 //! centralized-equivalent executors across the whole pipeline.
 
-use ballfit::config::DetectorConfig;
+use ballfit::config::{CoordinateSource, DetectorConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::grouping::group_boundaries;
 use ballfit::iff::apply_iff;
 use ballfit::landmarks::elect_landmarks;
 use ballfit::protocols::{
-    run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol,
+    exchange, run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol,
+    Backoff, HardenedUbf, UbfProtocol,
 };
 use ballfit::view::NetView;
 use ballfit_netgen::builder::NetworkBuilder;
@@ -85,5 +86,42 @@ fn protocol_equivalence_across_error_levels() {
         )
         .expect("perfect radio quiesces");
         assert_eq!(flags, central.candidates, "error={error}%");
+    }
+}
+
+#[test]
+fn batched_ubf_decisions_match_one_decide_per_node() {
+    let model = model(303);
+    let view = NetView::from_model(&model);
+    let topo = model.topology();
+    let range = view.radio_range();
+    let off = &mut Trace::disabled();
+    let sources = [
+        CoordinateSource::GroundTruth,
+        CoordinateSource::paper_error(0, 3),
+        CoordinateSource::paper_error(40, 3),
+    ];
+    for source in sources {
+        let cfg = DetectorConfig::paper(0, 3).ubf;
+        let states = UbfProtocol::for_view(&view, &source);
+        let (nodes, _) = exchange(topo, "ubf", 4, &FaultPlan::none(), off, |id| states[id].clone());
+        let perfect: Vec<bool> = nodes.iter().map(|n| n.decide(range, &cfg, &source)).collect();
+        assert_eq!(UbfProtocol::decide_all(&nodes, range, &cfg, &source), perfect, "{source:?}");
+
+        // Half the tables lost and never retransmitted: nodes decide from
+        // partial tables.
+        let backoff = Backoff { attempts: 0, ..Backoff::default() };
+        let plan = FaultPlan::lossy(11, 0.5);
+        let budget = HardenedUbf::round_budget(backoff, &plan);
+        let (nodes, _) = exchange(topo, "hardened-ubf", budget, &plan, off, |id| {
+            HardenedUbf::new(states[id].clone(), backoff)
+        });
+        let one_by_one: Vec<bool> = nodes.iter().map(|n| n.decide(range, &cfg, &source)).collect();
+        assert_eq!(
+            HardenedUbf::decide_all(&nodes, range, &cfg, &source),
+            one_by_one,
+            "{source:?} on a lossy radio"
+        );
+        assert_ne!(one_by_one, perfect, "{source:?}: the lossy radio changed no decision");
     }
 }
