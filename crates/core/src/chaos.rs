@@ -23,6 +23,13 @@
 //! [`ballfit_obs::TraceEvent::Verdict`] inside a `"watchdog"` span, so
 //! trace summaries count degraded epochs without re-deriving them.
 //!
+//! Each epoch runs the stack twice on the same distance tables: first
+//! fault-free, to price the lag, then under the epoch's fault plan. A UBF
+//! verdict is a pure function of the node's own table and the neighbour
+//! tables it holds, so the faulted run takes the fault-free verdict of
+//! every node that received all its neighbours' tables and embeds and
+//! tests only the nodes left with a partial set.
+//!
 //! Everything is seeded: the same `(model, config, position_seed)`
 //! triple replays to a byte-identical [`ChaosReport`] — including the
 //! resolved [`TopologyEvent`] log, which is what the crash-recovery pin
@@ -353,6 +360,8 @@ pub fn epoch_plan(config: &ChaosConfig, epoch: usize, live: &[NodeId]) -> FaultP
 
 /// What one pass of the distributed stack produced on a fixed topology.
 struct StackRun {
+    /// The UBF phase's verdicts (boundary candidates).
+    candidates: Vec<bool>,
     boundary: Vec<bool>,
     labels: Vec<Option<NodeId>>,
     rounds: usize,
@@ -364,16 +373,22 @@ struct StackRun {
 /// Runs the full hardened stack (UBF → IFF flood → grouping) once on
 /// the dynamic topology under `plan`, each phase through
 /// [`exchange`] with its hardened runner's span and round budget.
-/// Distance tables go through the same measurement oracle the
+/// `tables` are the nodes' measured-distance tables
+/// ([`UbfProtocol::for_view`]), measured by the same oracle the
 /// centralized frames use, so the oracle and the distributed stack
 /// judge the same inputs (at zero ranging error: true distances; see
-/// [`ChaosConfig`]). Each phase chains into the next, so degradation
-/// compounds exactly as it would in a deployment. Unlike the runners,
-/// a phase that hits its budget is not an error: the epoch is graded
-/// from its partial output.
+/// [`ChaosConfig`]). With `clean`, the fault-free run's UBF verdicts on
+/// the same tables, nodes that end the exchange holding every
+/// neighbour's table take their verdict from it
+/// ([`HardenedUbf::decide_all_reusing`]). Each phase chains into the
+/// next, so degradation compounds exactly as it would in a deployment.
+/// Unlike the runners, a phase that hits its budget is not an error: the
+/// epoch is graded from its partial output.
 fn run_stack(
     dynamic: &DynamicTopology,
     config: &ChaosConfig,
+    tables: &[UbfProtocol],
+    clean: Option<&[bool]>,
     plan: &FaultPlan,
     trace: &mut Trace,
 ) -> StackRun {
@@ -383,13 +398,15 @@ fn run_stack(
     let det = &config.detector;
 
     // Phase 1: hardened UBF table exchange over the churned topology.
-    let view = NetView::new(topo, dynamic.positions(), dynamic.radio_range());
-    let tables = UbfProtocol::for_view(&view, &det.coordinates);
     let budget = HardenedUbf::round_budget(backoff, plan);
     let (ubf, ubf_stats) = exchange(topo, "hardened-ubf", budget, plan, trace, |id| {
         HardenedUbf::new(tables[id].clone(), backoff)
     });
-    let candidates = HardenedUbf::decide_all(&ubf, view.radio_range(), &det.ubf, &det.coordinates);
+    let (range, cfg, source) = (dynamic.radio_range(), &det.ubf, &det.coordinates);
+    let candidates = match clean {
+        Some(clean) => HardenedUbf::decide_all_reusing(&ubf, clean, range, cfg, source),
+        None => HardenedUbf::decide_all(&ubf, range, cfg, source),
+    };
 
     // Phase 2: hardened IFF flood over the *distributed* candidate set.
     let (ttl, repeats) = (det.iff.ttl, config.flood_repeats);
@@ -407,6 +424,7 @@ fn run_stack(
     });
 
     StackRun {
+        candidates,
         boundary,
         labels: group.iter().map(HardenedGrouping::label).collect(),
         rounds: ubf_stats.rounds + flood_stats.rounds + group_stats.rounds,
@@ -472,10 +490,14 @@ impl EpochVerdict {
     }
 }
 
-/// Runs one chaos epoch's detection on a fixed topology: the hardened
-/// stack under `plan`, the fault-free baseline that prices the lag, and
+/// Runs one chaos epoch's detection on a fixed topology: the fault-free
+/// baseline that prices the lag, the hardened stack under `plan`, and
 /// the convergence watchdog judging the distributed result against
 /// `oracle` (which must be exact for the current state of `dynamic`).
+/// The baseline runs first, and the faulted stack reuses its UBF verdict
+/// for every node that received all its neighbours' tables: a verdict
+/// is a pure function of the node's own table and the neighbour tables
+/// it holds, so such a node's verdict is the baseline's.
 /// Records the verdict as a [`TraceEvent::Verdict`] inside a
 /// `"watchdog"` span, exactly as the [`run_chaos`] epoch loop does —
 /// this *is* that loop's detection step, factored out so a long-lived
@@ -488,8 +510,11 @@ pub fn run_epoch(
     trace: &mut Trace,
 ) -> EpochVerdict {
     let live = dynamic.live_nodes();
-    let run = run_stack(dynamic, config, plan, trace);
-    let clean = run_stack(dynamic, config, &FaultPlan::none(), &mut Trace::disabled());
+    let view = NetView::new(dynamic.topology(), dynamic.positions(), dynamic.radio_range());
+    let tables = UbfProtocol::for_view(&view, &config.detector.coordinates);
+    let clean =
+        run_stack(dynamic, config, &tables, None, &FaultPlan::none(), &mut Trace::disabled());
+    let run = run_stack(dynamic, config, &tables, Some(&clean.candidates), plan, trace);
 
     let mut perm_down = vec![false; dynamic.len()];
     for c in &plan.crashes {
@@ -621,9 +646,9 @@ pub fn run_chaos_traced(
             cursor += 1;
         }
 
-        // 2–3. Faults + watchdog: derive the epoch's radio, run the stack
-        // and the fault-free baseline under it, and judge the result
-        // against the oracle.
+        // 2–3. Faults + watchdog: derive the epoch's radio, run the
+        // fault-free baseline and the stack under that radio, and judge
+        // the result against the oracle.
         let dynamic = driver.dynamic();
         let live = dynamic.live_nodes();
         let plan = epoch_plan(config, epoch, &live);
@@ -727,5 +752,45 @@ mod tests {
             assert!(e.outcome.coverage() >= 0.0);
         }
         assert!(a.min_coverage() < 1.0);
+    }
+
+    /// Under 30% loss with epoch-permanent crashes some nodes never hear
+    /// a neighbour: they take the recompute path, every other node the
+    /// fault-free verdict, and together they equal a full recompute.
+    #[test]
+    fn reused_verdicts_equal_a_full_recompute() {
+        let model = model();
+        let config = ChaosConfig::new(DetectorConfig::paper(0, 0), ChurnPlan::none())
+            .with_loss(0.3)
+            .with_crash_fraction(0.2)
+            .with_crash_window(1, None)
+            .with_fault_seed(5);
+        let driver = ChurnDriver::new(&model, 1);
+        let dynamic = driver.dynamic();
+        let topo = dynamic.topology();
+        let det = &config.detector;
+        let (range, cfg, source) = (dynamic.radio_range(), &det.ubf, &det.coordinates);
+        let view = NetView::new(topo, dynamic.positions(), range);
+        let tables = UbfProtocol::for_view(&view, source);
+        let ubf_run = |plan: &FaultPlan| {
+            let budget = HardenedUbf::round_budget(config.backoff, plan);
+            exchange(topo, "hardened-ubf", budget, plan, &mut Trace::disabled(), |id| {
+                HardenedUbf::new(tables[id].clone(), config.backoff)
+            })
+            .0
+        };
+        let clean = HardenedUbf::decide_all(&ubf_run(&FaultPlan::none()), range, cfg, source);
+        let mut recomputed = 0;
+        for epoch in 0..3 {
+            let plan = epoch_plan(&config, epoch, &dynamic.live_nodes());
+            let nodes = ubf_run(&plan);
+            let reused = HardenedUbf::decide_all_reusing(&nodes, &clean, range, cfg, source);
+            let full = HardenedUbf::decide_all(&nodes, range, cfg, source);
+            for (i, (r, f)) in reused.iter().zip(&full).enumerate() {
+                assert_eq!(r, f, "epoch {epoch}, node {i}");
+            }
+            recomputed += nodes.iter().filter(|node| !node.has_all_tables()).count();
+        }
+        assert!(recomputed > 0, "no node was left with a partial table set");
     }
 }

@@ -417,6 +417,39 @@ impl HardenedUbf {
         UbfProtocol::decide_all(nodes.iter().map(|node| &node.inner), radio_range, cfg, source)
     }
 
+    /// [`HardenedUbf::decide_all`] for a run whose fault-free verdicts
+    /// `clean` are known (same nodes, same tables). A verdict is a pure
+    /// function of the node's own table and the neighbour tables it holds,
+    /// so a node holding every neighbour's table takes `clean[i]`; only
+    /// the others are embedded and tested.
+    pub(crate) fn decide_all_reusing(
+        nodes: &[HardenedUbf],
+        clean: &[bool],
+        radio_range: f64,
+        cfg: &UbfConfig,
+        source: &CoordinateSource,
+    ) -> Vec<bool> {
+        let partial: Vec<usize> =
+            (0..nodes.len()).filter(|&i| !nodes[i].has_all_tables()).collect();
+        let decided = UbfProtocol::decide_all(
+            partial.iter().map(|&i| &nodes[i].inner),
+            radio_range,
+            cfg,
+            source,
+        );
+        let mut flags = clean.to_vec();
+        for (i, flag) in partial.into_iter().zip(decided) {
+            flags[i] = flag;
+        }
+        flags
+    }
+
+    /// `true` once the node holds a table from every neighbour: its
+    /// decision inputs are then exactly those of a fault-free run.
+    pub(crate) fn has_all_tables(&self) -> bool {
+        self.inner.received.len() == self.inner.own_table.len()
+    }
+
     /// True if the retry budget ran out with some neighbor still unacked:
     /// the node decided from a partial table set (degraded coverage).
     pub fn exhausted(&self) -> bool {

@@ -862,7 +862,8 @@ fn parse_inject(obj: &JsonValue) -> Parsed<ServeRequest> {
             FaultKnobs {
                 loss: get_unit_or(f, "loss", defaults.loss)?,
                 duplication: get_unit_or(f, "duplication", defaults.duplication)?,
-                max_delay: get_u64_or(f, "max_delay", defaults.max_delay as u64)? as u32,
+                max_delay: u32::try_from(get_u64_or(f, "max_delay", defaults.max_delay.into())?)
+                    .map_err(|_| bad("'max_delay' must fit in 32 bits"))?,
                 crash_fraction: get_unit_or(f, "crash_fraction", defaults.crash_fraction)?,
                 crash_down: get_u64_or(f, "crash_down", defaults.crash_down as u64)? as usize,
                 // Absent → the default recovery round; explicit null →

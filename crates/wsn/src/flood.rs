@@ -13,6 +13,7 @@
 //!
 //! Integration tests in the `ballfit` crate assert the two agree.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bfs::count_within;
@@ -219,16 +220,22 @@ impl Protocol for HardenedFragmentFlood {
             return;
         }
         let (origin, ttl) = *msg;
-        let known = self.best.contains_key(&origin);
-        let improved = self.best.get(&origin).is_none_or(|&t| ttl > t);
-        if improved {
-            self.best.insert(origin, ttl);
-            if ttl > 0 {
-                if known {
-                    self.reforwards += 1;
-                }
-                self.forward(origin, ttl - 1, ctx);
+        let known = match self.best.entry(origin) {
+            Entry::Vacant(slot) => {
+                slot.insert(ttl);
+                false
             }
+            Entry::Occupied(mut slot) if ttl > *slot.get() => {
+                slot.insert(ttl);
+                true
+            }
+            Entry::Occupied(_) => return,
+        };
+        if ttl > 0 {
+            if known {
+                self.reforwards += 1;
+            }
+            self.forward(origin, ttl - 1, ctx);
         }
     }
 

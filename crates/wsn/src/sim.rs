@@ -13,7 +13,13 @@
 //!   scoped flooding, CDM's path probes) are measurable.
 //!
 //! Delivery order within a round is deterministic (sorted by destination,
-//! then source, then send order), so protocol runs are reproducible.
+//! then source, then send order), so protocol runs are reproducible. Both
+//! engines reach that order with a stable counting pass on `(to, from)`,
+//! O(n + m) for a round of m messages on n nodes. The fault engine keeps
+//! pending deliveries grouped by due round, each group in send order, so
+//! a round takes its group without scanning later ones; the groups live
+//! in a map keyed by round, so their memory follows the messages in
+//! flight, never `max_delay`.
 //!
 //! Every run can additionally emit a deterministic structured trace
 //! ([`Simulator::run_traced`] / [`Simulator::run_with_faults_traced`]):
@@ -21,6 +27,8 @@
 //! fault-attribution accounting, recorded in logical time only. The
 //! plain entry points are the [`Trace::disabled`] special case, so the
 //! traced and untraced engines are literally the same code.
+
+use std::collections::BTreeMap;
 
 pub use ballfit_obs::MsgBytes;
 use ballfit_obs::{Trace, TraceEvent};
@@ -176,6 +184,109 @@ fn finish_run(
     RunStats { rounds, messages, bytes, quiescent, faults, per_round_messages, per_round_bytes }
 }
 
+/// One round's deliveries ordered by `(to, from)`, send order kept among
+/// equal keys: two stable counting passes, by `from` and then by `to`
+/// (least significant key first), over message indices. A round of m
+/// messages on n nodes costs O(n + m); the buffers are reused across
+/// rounds.
+#[derive(Debug, Default)]
+struct DeliveryOrder {
+    /// Bucket cursors of the `from` pass, one per node plus one.
+    from_at: Vec<usize>,
+    /// Bucket cursors of the `to` pass, one per node plus one.
+    to_at: Vec<usize>,
+    /// Message indices ordered by `from`.
+    by_from: Vec<usize>,
+    /// Message indices ordered by `(to, from)`.
+    order: Vec<usize>,
+}
+
+impl DeliveryOrder {
+    /// Indices into `msgs` (`(from, to, msg)` in send order, every node
+    /// below `n`) in delivery order.
+    fn sort<M>(&mut self, n: usize, msgs: &[(NodeId, NodeId, M)]) -> &[usize] {
+        self.order.clear();
+        if msgs.is_empty() {
+            return &self.order;
+        }
+        for cursor in [&mut self.from_at, &mut self.to_at] {
+            cursor.clear();
+            cursor.resize(n + 1, 0);
+        }
+        for &(from, to, _) in msgs {
+            self.from_at[from + 1] += 1;
+            self.to_at[to + 1] += 1;
+        }
+        for k in 1..=n {
+            self.from_at[k] += self.from_at[k - 1];
+            self.to_at[k] += self.to_at[k - 1];
+        }
+        self.by_from.clear();
+        self.by_from.resize(msgs.len(), 0);
+        for (i, &(from, _, _)) in msgs.iter().enumerate() {
+            self.by_from[self.from_at[from]] = i;
+            self.from_at[from] += 1;
+        }
+        self.order.resize(msgs.len(), 0);
+        for &i in &self.by_from {
+            let to = msgs[i].1;
+            self.order[self.to_at[to]] = i;
+            self.to_at[to] += 1;
+        }
+        &self.order
+    }
+}
+
+/// A round's sends as `(from, to, msg)`, in send order.
+type Batch<M> = Vec<(NodeId, NodeId, M)>;
+
+/// The fault engine's pending deliveries, grouped by due round, each
+/// group in send order. Only rounds with a message in flight have a
+/// group, so memory follows the in-flight messages whatever the plan's
+/// `max_delay`; drained groups keep their allocation for reuse.
+#[derive(Debug)]
+struct DueGroups<M> {
+    groups: BTreeMap<usize, Batch<M>>,
+    spare: Vec<Batch<M>>,
+}
+
+impl<M> DueGroups<M> {
+    fn new() -> Self {
+        DueGroups { groups: BTreeMap::new(), spare: Vec::new() }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// Appends a delivery due after round `due` (delivered in round
+    /// `due + 1`).
+    fn push(&mut self, due: usize, from: NodeId, to: NodeId, msg: M) {
+        let spare = &mut self.spare;
+        self.groups
+            .entry(due)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push((from, to, msg));
+    }
+
+    /// Takes the deliveries of round `round` (those due at an earlier
+    /// round), in send order. A send is never due before the round it was
+    /// sent in and every round takes its group, so only the group due at
+    /// `round − 1` can qualify.
+    fn take_due(&mut self, round: usize) -> Option<Batch<M>> {
+        match self.groups.first_key_value() {
+            Some((&due, _)) if due < round => self.groups.pop_first().map(|(_, group)| group),
+            _ => None,
+        }
+    }
+
+    /// Returns a delivered group's allocation for reuse.
+    fn recycle(&mut self, mut group: Batch<M>) {
+        group.clear();
+        self.spare.push(group);
+    }
+}
+
 /// The simulation engine: a topology plus one protocol instance per node.
 #[derive(Debug)]
 pub struct Simulator<'t, P: Protocol> {
@@ -207,7 +318,9 @@ impl<'t, P: Protocol> Simulator<'t, P> {
         let mut bytes: u64 = 0;
         let mut per_round_messages: Vec<u64> = Vec::new();
         let mut per_round_bytes: Vec<u64> = Vec::new();
-        let mut inflight: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
+        let mut inflight: Batch<P::Msg> = Vec::new();
+        let mut deliveries: Batch<P::Msg> = Vec::new();
+        let mut order = DeliveryOrder::default();
         trace.event(TraceEvent::NetSize { nodes: self.nodes.len(), edges: self.topo.edge_count() });
 
         // Start phase ("round 0" of the accounting).
@@ -252,11 +365,11 @@ impl<'t, P: Protocol> Simulator<'t, P> {
                 );
             }
             rounds += 1;
-            // Deterministic delivery order.
-            let mut deliveries = std::mem::take(&mut inflight);
-            deliveries.sort_by_key(|&(from, to, _)| (to, from));
+            // Last round's sends, in the deterministic delivery order.
+            std::mem::swap(&mut inflight, &mut deliveries);
             let delivered = deliveries.len() as u64;
-            for (from, to, msg) in &deliveries {
+            for &i in order.sort(self.nodes.len(), &deliveries) {
+                let (from, to, msg) = &deliveries[i];
                 let mut ctx = Ctx {
                     node: *to,
                     neighbors: self.topo.neighbors(*to),
@@ -266,6 +379,7 @@ impl<'t, P: Protocol> Simulator<'t, P> {
                 };
                 self.nodes[*to].on_message(*from, msg, &mut ctx);
             }
+            deliveries.clear();
             for id in 0..self.nodes.len() {
                 let mut ctx = Ctx {
                     node: id,
@@ -357,12 +471,12 @@ impl<'t, P: Protocol> Simulator<'t, P> {
         let mut next_event = 0usize;
         let mut alive = vec![true; n];
         let mut started = vec![false; n];
-        // Pending deliveries: (due_round, sequence, from, to, msg). The
-        // sequence number preserves send order among equal (to, from)
-        // keys, matching the stable sort of the perfect-delivery engine.
-        let mut queue: Vec<(usize, u64, NodeId, NodeId, P::Msg)> = Vec::new();
-        let mut seq: u64 = 0;
-        let mut outbox: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
+        // Pending deliveries by due round, each group in send order, which
+        // the stable delivery order keeps among equal (to, from) keys,
+        // matching the perfect-delivery engine.
+        let mut pending: DueGroups<P::Msg> = DueGroups::new();
+        let mut order = DeliveryOrder::default();
+        let mut outbox: Batch<P::Msg> = Vec::new();
 
         // Crash events scheduled for round 0 precede `on_start`: a node
         // down from round 0 never starts (until it recovers).
@@ -387,7 +501,7 @@ impl<'t, P: Protocol> Simulator<'t, P> {
             };
             self.nodes[id].on_start(&mut ctx);
         }
-        flush_outbox(&mut outbox, 0, plan, &mut rng, &mut queue, &mut seq, &mut counts);
+        flush_outbox(&mut outbox, 0, plan, &mut rng, &mut pending, &mut counts);
         bucket_add(&mut per_round_messages, 0, sent);
         bucket_add(&mut per_round_bytes, 0, bytes);
         trace.open("round");
@@ -410,7 +524,6 @@ impl<'t, P: Protocol> Simulator<'t, P> {
         let (mut ev_sent, mut ev_bytes, mut ev_counts) = (sent, bytes, counts);
 
         let mut rounds = 0;
-        let mut due: Vec<(usize, u64, NodeId, NodeId, P::Msg)> = Vec::new();
         loop {
             // Crash transitions at the start of the round about to run.
             // A node revived before it ever ran starts now; its sends are
@@ -433,15 +546,7 @@ impl<'t, P: Protocol> Simulator<'t, P> {
                         bytes: &mut bytes,
                     };
                     self.nodes[node].on_start(&mut ctx);
-                    flush_outbox(
-                        &mut outbox,
-                        rounds,
-                        plan,
-                        &mut rng,
-                        &mut queue,
-                        &mut seq,
-                        &mut counts,
-                    );
+                    flush_outbox(&mut outbox, rounds, plan, &mut rng, &mut pending, &mut counts);
                 }
             }
             // Late `on_start` sends belong to the round that just
@@ -452,7 +557,7 @@ impl<'t, P: Protocol> Simulator<'t, P> {
             (prev_sent, prev_bytes) = (sent, bytes);
             let wants_tick =
                 self.nodes.iter().enumerate().any(|(id, node)| alive[id] && node.wants_tick());
-            if queue.is_empty() && next_event >= events.len() && !wants_tick {
+            if pending.is_empty() && next_event >= events.len() && !wants_tick {
                 return finish_run(
                     trace,
                     rounds,
@@ -479,34 +584,28 @@ impl<'t, P: Protocol> Simulator<'t, P> {
             rounds += 1;
 
             // Deliveries due this round, in the engine's deterministic
-            // order (destination, source, send sequence).
-            due.clear();
-            let mut i = 0;
-            while i < queue.len() {
-                if queue[i].0 < rounds {
-                    due.push(queue.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            due.sort_by_key(|&(_, s, from, to, _)| (to, from, s));
+            // order (destination, source, send order).
             let mut delivered: u64 = 0;
-            for (_, _, from, to, msg) in &due {
-                if !alive[*to] {
-                    counts.crash_lost += 1;
-                    continue;
+            if let Some(due) = pending.take_due(rounds) {
+                for &i in order.sort(n, &due) {
+                    let (from, to, msg) = &due[i];
+                    if !alive[*to] {
+                        counts.crash_lost += 1;
+                        continue;
+                    }
+                    delivered += 1;
+                    let mut ctx = Ctx {
+                        node: *to,
+                        neighbors: self.topo.neighbors(*to),
+                        outbox: &mut outbox,
+                        sent: &mut sent,
+                        bytes: &mut bytes,
+                    };
+                    self.nodes[*to].on_message(*from, msg, &mut ctx);
                 }
-                delivered += 1;
-                let mut ctx = Ctx {
-                    node: *to,
-                    neighbors: self.topo.neighbors(*to),
-                    outbox: &mut outbox,
-                    sent: &mut sent,
-                    bytes: &mut bytes,
-                };
-                self.nodes[*to].on_message(*from, msg, &mut ctx);
+                pending.recycle(due);
             }
-            flush_outbox(&mut outbox, rounds, plan, &mut rng, &mut queue, &mut seq, &mut counts);
+            flush_outbox(&mut outbox, rounds, plan, &mut rng, &mut pending, &mut counts);
             for (id, node) in self.nodes.iter_mut().enumerate() {
                 if !alive[id] {
                     continue;
@@ -520,7 +619,7 @@ impl<'t, P: Protocol> Simulator<'t, P> {
                 };
                 node.on_round_end(rounds - 1, &mut ctx);
             }
-            flush_outbox(&mut outbox, rounds, plan, &mut rng, &mut queue, &mut seq, &mut counts);
+            flush_outbox(&mut outbox, rounds, plan, &mut rng, &mut pending, &mut counts);
             bucket_add(&mut per_round_messages, rounds, sent - prev_sent);
             bucket_add(&mut per_round_bytes, rounds, bytes - prev_bytes);
             (prev_sent, prev_bytes) = (sent, bytes);
@@ -558,12 +657,11 @@ impl<'t, P: Protocol> Simulator<'t, P> {
 /// and duplicated (with an independently drawn delay) with the plan's
 /// duplication probability.
 fn flush_outbox<M: Clone>(
-    outbox: &mut Vec<(NodeId, NodeId, M)>,
+    outbox: &mut Batch<M>,
     due_base: usize,
     plan: &FaultPlan,
     rng: &mut Xoshiro256PlusPlus,
-    queue: &mut Vec<(usize, u64, NodeId, NodeId, M)>,
-    seq: &mut u64,
+    pending: &mut DueGroups<M>,
     counts: &mut FaultCounts,
 ) {
     for (from, to, msg) in outbox.drain(..) {
@@ -585,13 +683,14 @@ fn flush_outbox<M: Clone>(
             } else {
                 0
             };
-            queue.push((due_base + extra, *seq, from, to, msg.clone()));
-            *seq += 1;
+            pending.push(due_base + extra, from, to, msg.clone());
         }
-        queue.push((due_base + delay, *seq, from, to, msg));
-        *seq += 1;
+        pending.push(due_base + delay, from, to, msg);
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

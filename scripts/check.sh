@@ -66,6 +66,11 @@
 #                               (E12's table, the only committed record
 #                               of its perfect-radio message counts)
 #                               against results/logs/protocol_audit.log;
+#                               the --smoke --trace JSONL of chaos_sweep,
+#                               robustness_sweep and cost_profile against
+#                               results/logs/*_smoke_trace.jsonl (pins
+#                               the simulator's per-round records across
+#                               commits, not only across two runs);
 #                               and every results/*.csv and
 #                               results/*.svg from the E1-E13 bins.
 #                               Other console logs are not compared.
@@ -198,6 +203,12 @@ BALLFIT_RESULTS="$ART_DIR" taskset -c 0 cargo run -q --release -p ballfit-bench 
 cmp "$ART_DIR/serve_load.json" results/serve_load.json
 cargo run -q --release -p ballfit-bench --bin protocol_audit > "$ART_DIR/protocol_audit.log"
 cmp "$ART_DIR/protocol_audit.log" results/logs/protocol_audit.log
+mkdir -p "$ART_DIR/smoke"
+for bin in chaos_sweep robustness_sweep cost_profile; do
+    BALLFIT_RESULTS="$ART_DIR/smoke" cargo run -q --release -p ballfit-bench --bin "$bin" -- \
+        --smoke --trace "$ART_DIR/smoke/${bin}_smoke_trace.jsonl" > /dev/null
+    cmp "$ART_DIR/smoke/${bin}_smoke_trace.jsonl" "results/logs/${bin}_smoke_trace.jsonl"
+done
 for bin in fig1_efficiency fig_mistaken_distribution fig_missing_distribution \
            fig11_statistics scenario_gallery mesh_under_error ablation_ball_radius \
            ablation_k ablation_iff ablation_two_hop render_figures; do

@@ -433,9 +433,17 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         ("{\"op\":\"warp\"}", "unknown-op"),
         ("{\"op\":\"create\",\"id\":\"x\",\"positions\":[[0,0,0]],\"range\":0}", "bad-request"),
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_fraction\":2}}", "bad-request"),
+        // 2³² + 1 rounds: refused, not truncated to a delay of 1.
+        ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967297}}", "bad-request"),
     ] {
         let err = ballfit_serve::parse_request(line).expect_err(line);
         assert_eq!(err.code(), code, "{line}");
+    }
+    // The largest delay that fits still parses, unchanged.
+    let line = "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967295}}";
+    match ballfit_serve::parse_request(line) {
+        Ok(ServeRequest::Inject { faults, .. }) => assert_eq!(faults.max_delay, u32::MAX),
+        other => panic!("{line}: {other:?}"),
     }
     // Service layer: unknown instance ids and events for crashed nodes
     // answer with typed errors and leave the service serving.
