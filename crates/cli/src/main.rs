@@ -185,11 +185,17 @@ fn detect(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn mesh(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    // Landmarks are at least k hops apart, so k = 0 is a usage error:
+    // refuse it before loading the network.
+    let k: u32 = args.get_or("k", 3)?;
+    if k == 0 {
+        return Err("invalid value '0' for --k: landmark spacing must be at least 1 hop".into());
+    }
     let model = load_network(args)?;
     let error: u32 = args.get_or("error", 0)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let mut pipeline = Pipeline::paper(error, seed);
-    pipeline.surface.k = args.get_or("k", 3)?;
+    pipeline.surface.k = k;
     let result = pipeline.run(&model);
     let prefix: String = args.require("out-prefix")?;
     for (i, surface) in result.surfaces.iter().enumerate() {
@@ -231,4 +237,27 @@ fn serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     ballfit_serve::run_stdio(parallelism)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).unwrap()
+    }
+
+    #[test]
+    fn mesh_refuses_k_zero_before_loading_the_network() {
+        // Without --net, loading would fail on the missing option: an error
+        // naming --k shows the spacing is checked first, and no file is
+        // opened either way.
+        let err = mesh(&args("mesh --k 0 --out-prefix m")).unwrap_err().to_string();
+        assert!(err.contains("--k") && err.contains("at least 1"), "{err}");
+        for spacing in ["", "--k 1", "--k 5"] {
+            let err =
+                mesh(&args(&format!("mesh {spacing} --out-prefix m"))).unwrap_err().to_string();
+            assert!(err.contains("--net"), "{spacing}: {err}");
+        }
+    }
 }

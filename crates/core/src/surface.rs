@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use ballfit_geom::mesh::{MeshAudit, TriMesh};
 use ballfit_netgen::model::NetworkModel;
-use ballfit_wsn::bfs::hop_distances;
+use ballfit_wsn::bfs::shortest_path;
 use ballfit_wsn::{NodeId, Topology};
 
 use crate::cdg::{build_cdg, LandmarkEdge};
@@ -170,15 +170,17 @@ impl SurfaceBuilder {
         let tri = complete_triangulation(topo, group, &cdm, &cdg, self.config.route_around);
 
         // Step V: edge flips, with hop-distance lengths over the group
-        // subgraph (connectivity-only, as the paper requires). Distances
-        // from each landmark are computed once and cached.
-        let mut hop_cache: BTreeMap<NodeId, Vec<Option<u32>>> = BTreeMap::new();
+        // subgraph (connectivity-only, as the paper requires). A length is
+        // the hop count of a search that stops at its target; both ends
+        // are landmarks, hence group members, so it equals the
+        // whole-group distance. The apex spanning tree asks for some
+        // pairs more than once, so lengths are memoized per ordered pair.
+        let mut hops: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
         let mut length = |a: NodeId, b: NodeId| -> f64 {
-            let dists = hop_cache.entry(a).or_insert_with(|| hop_distances(topo, a, member));
-            match dists[b] {
-                Some(d) => d as f64,
+            *hops.entry((a, b)).or_insert_with(|| match shortest_path(topo, a, b, member) {
+                Some(path) => (path.len() - 1) as f64,
                 None => f64::INFINITY,
-            }
+            })
         };
         // Faces are *empty* landmark 3-cliques (no vertex adjacent to all
         // three corners): a clique subdivided by a further landmark is a

@@ -653,6 +653,14 @@ fn opt_u64(obj: &JsonValue, key: &str) -> Parsed<Option<u64>> {
     }
 }
 
+/// [`opt_u64`] for a 32-bit field: a value past `u32::MAX` is refused,
+/// not truncated.
+fn opt_u32(obj: &JsonValue, key: &str) -> Parsed<Option<u32>> {
+    opt_u64(obj, key)?
+        .map(|v| u32::try_from(v).map_err(|_| bad(format!("'{key}' must fit in 32 bits"))))
+        .transpose()
+}
+
 fn parse_vec3(v: &JsonValue, what: &str) -> Parsed<[f64; 3]> {
     let arr = v.as_arr().ok_or_else(|| bad(format!("{what} must be an [x, y, z] array")))?;
     if arr.len() != 3 {
@@ -707,11 +715,11 @@ fn parse_config(obj: &JsonValue) -> Parsed<WireConfig> {
         }
     };
     Ok(WireConfig {
-        error: opt_u64(cfg, "error")?.map(|v| v as u32),
+        error: opt_u32(cfg, "error")?,
         noise_seed: get_u64_or(cfg, "noise_seed", 0)?,
         theta: opt_u64(cfg, "theta")?.map(|v| v as usize),
-        ttl: opt_u64(cfg, "ttl")?.map(|v| v as u32),
-        witness_hops: opt_u64(cfg, "witness_hops")?.map(|v| v as u32),
+        ttl: opt_u32(cfg, "ttl")?,
+        witness_hops: opt_u32(cfg, "witness_hops")?,
         backend,
     })
 }

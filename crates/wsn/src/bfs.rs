@@ -79,10 +79,15 @@ pub fn multi_source_hops<F: Fn(NodeId) -> bool>(
 /// Deterministic shortest path from `from` to `to`, traversing only nodes
 /// that satisfy `allowed` (endpoints are always allowed). Among equal-length
 /// paths the minimum-ID parent is chosen at every step, making the result
-/// unique and identical across executions.
+/// unique and identical across executions. The search stops once it
+/// reaches `to`.
 ///
 /// Returns the node sequence including both endpoints, or `None` if `to` is
-/// unreachable.
+/// unreachable. For a `to` that `allowed` accepts, the path has
+/// [`hop_distances`]`(topo, from, allowed)[to] + 1` nodes and is `None`
+/// exactly where that entry is: because the endpoints are always allowed,
+/// the two differ only for a refused `to`, which `hop_distances` never
+/// enters.
 pub fn shortest_path<F: Fn(NodeId) -> bool>(
     topo: &Topology,
     from: NodeId,
@@ -477,6 +482,13 @@ mod tests {
                 reference::shortest_path(topo, s, t, allowed),
                 "shortest_path {s} -> {t}"
             );
+            // A target-bounded search measures every allowed target as the
+            // whole-network search does (what step V's flip lengths use).
+            let dist = hop_distances(topo, s, allowed);
+            for t in (0..n).filter(|&t| allowed(t)) {
+                let hops = shortest_path(topo, s, t, allowed).map(|path| path.len() as u32 - 1);
+                assert_eq!(hops, dist[t], "shortest_path {s} -> {t} against hop_distances");
+            }
             for max_hops in [0, 1, 2, 3, u32::MAX] {
                 assert_eq!(
                     nodes_within(topo, s, max_hops, allowed),

@@ -54,7 +54,11 @@
 #                               calls); every op's output digest must
 #                               equal the pinned reference and pass the
 #                               E20/E21 cross-checks, i.e. each result
-#                               line reads "correct": true, "failed": 0
+#                               line reads "correct": true, "failed": 0;
+#                               and the untraced scale-1e5 run's
+#                               peak_rss_mb must stay at or under 40 MB
+#                               (~27 MB since step V searches apex pairs;
+#                               a per-apex n-entry hop cache read 66 MB)
 #  13. committed artifacts      full runs regenerate the committed
 #                               results/ files and each must cmp equal:
 #                               robustness_sweep, chaos_sweep,
@@ -175,13 +179,21 @@ for workload in paper-gallery scale-1e5 serve-churn; do
     for trace in 0 1; do
         out="$SMOKE_DIR/perfbench_${workload}_trace$trace.txt"
         python3 perfbench/run.py --workload "$workload" --seconds 1 --trace "$trace" | tee "$out"
+        rss_bound_mb=""
+        if [[ "$workload" == "scale-1e5" && "$trace" == 0 ]]; then
+            rss_bound_mb=40
+        fi
         tail -n 1 "$out" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
 verdict = {k: r[k] for k in ("correct", "attempted", "failed")}
 if r["correct"] is not True or r["failed"] != 0:
     sys.exit("perfbench " + sys.argv[1] + ": " + json.dumps(verdict))
-' "$workload --trace $trace"
+if sys.argv[2]:
+    rss = r["metrics"]["peak_rss_mb"]["value"]
+    if rss > float(sys.argv[2]):
+        sys.exit(f"perfbench {sys.argv[1]}: peak_rss_mb {rss:.2f} exceeds {sys.argv[2]} MB")
+' "$workload --trace $trace" "$rss_bound_mb"
     done
 done
 

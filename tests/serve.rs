@@ -445,6 +445,42 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         Ok(ServeRequest::Inject { faults, .. }) => assert_eq!(faults.max_delay, u32::MAX),
         other => panic!("{line}: {other:?}"),
     }
+    // The 32-bit config fields of a create and of a restore's checkpoint:
+    // 2³² is refused, not truncated to 0, and 2³² − 1 parses unchanged.
+    let create = |config: &str| {
+        format!(
+            "{{\"op\":\"create\",\"id\":\"x\",\
+             \"scene\":{{\"scenario\":\"sphere\"}},\"config\":{config}}}"
+        )
+    };
+    let restore = |config: &str| {
+        format!(
+            "{{\"op\":\"restore\",\"id\":\"x\",\"config\":{config},\
+             \"snapshot\":{{\"range\":1,\"positions\":[[0,0,0]],\"alive\":[true]}},\
+             \"detector\":{{\"candidates\":[true],\"degenerate\":[false],\"balls\":[0],\
+             \"fragments\":[1],\"boundary\":[true],\"groups\":[[0]]}}}}"
+        )
+    };
+    for key in ["error", "ttl", "witness_hops"] {
+        for line in [create, restore].map(|request| request(&format!("{{\"{key}\":4294967296}}"))) {
+            let err = ballfit_serve::parse_request(&line).expect_err(&line);
+            assert_eq!(err.code(), "bad-request", "{line}");
+        }
+    }
+    let widest = "{\"error\":4294967295,\"ttl\":4294967295,\"witness_hops\":4294967295}";
+    let expect_widest = |config: &WireConfig| {
+        assert_eq!(config.error, Some(u32::MAX));
+        assert_eq!(config.ttl, Some(u32::MAX));
+        assert_eq!(config.witness_hops, Some(u32::MAX));
+    };
+    match ballfit_serve::parse_request(&create(widest)) {
+        Ok(ServeRequest::Create { config, .. }) => expect_widest(&config),
+        other => panic!("create: {other:?}"),
+    }
+    match ballfit_serve::parse_request(&restore(widest)) {
+        Ok(ServeRequest::Restore { checkpoint, .. }) => expect_widest(&checkpoint.config),
+        other => panic!("restore: {other:?}"),
+    }
     // Service layer: unknown instance ids and events for crashed nodes
     // answer with typed errors and leave the service serving.
     let mut svc = Service::sequential();
