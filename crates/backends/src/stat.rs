@@ -99,33 +99,14 @@ impl Protocol for DegreeExchange {
 #[derive(Debug, Clone, Copy)]
 pub struct StatisticalBackend {
     seed: u64,
-    threshold: f64,
-    jitter: f64,
     parallelism: Parallelism,
 }
 
 impl StatisticalBackend {
-    /// A backend with the default threshold/jitter and the given seed
-    /// for the per-node threshold perturbation.
+    /// A backend with [`DEFAULT_THRESHOLD`] and [`DEFAULT_JITTER`] and the
+    /// given seed for the per-node threshold perturbation.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            threshold: DEFAULT_THRESHOLD,
-            jitter: DEFAULT_JITTER,
-            parallelism: Parallelism::default(),
-        }
-    }
-
-    /// Overrides the threshold factor `t`.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Overrides the jitter amplitude `j`.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
+        Self { seed, parallelism: Parallelism::default() }
     }
 
     /// Sets the worker-thread policy for the per-node verdict sweep.
@@ -160,7 +141,6 @@ impl BoundaryBackend for StatisticalBackend {
         // node id, so the sweep runs over indices; output depends only
         // on (seed, node, exchange state) — byte-identical at every
         // thread count.
-        let (seed, threshold, jitter) = (self.seed, self.threshold, self.jitter);
         let indices: Vec<NodeId> = (0..view.len()).collect();
         let verdicts: Vec<(bool, bool)> = par_map(self.parallelism, &indices, |&i| {
             let s = &states[i];
@@ -169,8 +149,8 @@ impl BoundaryBackend for StatisticalBackend {
                 return (true, true);
             }
             let mean = (s.degree + s.sum) as f64 / (1 + s.degree) as f64;
-            let wobble = 1.0 + jitter * (2.0 * unit_draw(seed, i) - 1.0);
-            ((s.degree as f64) < threshold * mean * wobble, false)
+            let wobble = 1.0 + DEFAULT_JITTER * (2.0 * unit_draw(self.seed, i) - 1.0);
+            ((s.degree as f64) < DEFAULT_THRESHOLD * mean * wobble, false)
         });
         let boundary: Vec<bool> = verdicts.iter().map(|v| v.0).collect();
         let degenerate_nodes: Vec<NodeId> =

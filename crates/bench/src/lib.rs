@@ -174,12 +174,6 @@ pub fn export_mesh(name: &str, mesh: &ballfit_geom::mesh::TriMesh) -> PathBuf {
     path
 }
 
-/// Small helper: does a results file exist already (used by bins that can
-/// reuse expensive sweeps)?
-pub fn results_file_exists(name: &str) -> bool {
-    Path::new(&results_dir()).join(name).exists()
-}
-
 /// Checks that `src` is exactly one well-formed JSON value (RFC 8259,
 /// plus whitespace) by parsing it with the serve protocol's codec.
 pub fn validate_json(src: &str) -> Result<(), String> {

@@ -80,12 +80,10 @@ pub fn neighborhood_frame_view(
                 return None;
             }
             let table = measured_table(view, &view.oracle(*error, *noise_seed), &members);
-            // Note on floors: `ballfit-mds` can assert a distance floor on
-            // unmeasured (out-of-range) pairs during refinement. At
-            // moderate noise that trades a little recall for precision,
-            // but at extreme noise it suppresses detection entirely and
-            // breaks the paper's Fig. 1(g) shape — so the pipeline leaves
-            // it off (see DESIGN.md §6b).
+            // Refinement fits the measured pairs only; unmeasured
+            // (out-of-range) pairs get no distance floor. A floor trades a
+            // little recall for precision at moderate noise but suppresses
+            // detection at extreme noise (DESIGN.md §6b).
             let frame = embed_local(&table, source.frame_config()).ok()?;
             Some(NeighborhoodFrame {
                 members,

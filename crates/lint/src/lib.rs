@@ -1,72 +1,28 @@
 //! `ballfit-lint` — static invariant analyzer for the ballfit workspace.
 //!
 //! The paper's correctness contract is not just "the tests pass": the
-//! pipeline must be **deterministic** (same seed ⇒ same network ⇒ same
-//! boundary, bit for bit), **localized** (protocol handlers see one hop of
-//! state and nothing else), and **total** on well-formed inputs (no panics
+//! pipeline must be **localized** (protocol handlers see one hop of state
+//! and nothing else), **deterministic** (same seed ⇒ same network ⇒ same
+//! boundary, bit for bit) and **total** on well-formed inputs (no panics
 //! in round handlers, no NaN-order traps in float sorts). Those properties
-//! are easy to regress silently — a `HashMap` iteration here, a
-//! convenience `model.positions()` call there — so this crate enforces
-//! them mechanically over `crates/{core,wsn,geom,mds,netgen,par,obs,serve}`:
+//! are easy to regress silently — a convenience `model.positions()` call
+//! in a handler, a helper that reaches a `HashMap` — so this crate
+//! enforces them mechanically over
+//! `crates/{core,wsn,geom,mds,netgen,par,obs,serve,backends}`.
 //!
-//! * [`passes::Pass::Determinism`] — denies `HashMap`/`HashSet`,
-//!   `thread_rng`, `SystemTime::now`, `Instant::now`.
-//! * [`passes::Pass::Locality`] — inside `impl Protocol for ..` blocks,
-//!   denies global-state accessors (`positions`, `true_distance`,
-//!   whole-`Topology` queries beyond `neighbors`/`degree`/...).
-//! * [`passes::Pass::PanicSafety`] — inside protocol impls, denies
-//!   `unwrap`/`expect`/`panic!`-family macros and direct indexing.
-//! * [`passes::Pass::FloatSafety`] — denies `partial_cmp(..).unwrap()`
-//!   sorts (NaN-unsafe; use `f64::total_cmp`) and `==`/`!=` against float
-//!   literals outside `geom::predicates`.
-//! * [`passes::Pass::FaultScope`] — keeps the fault-injection layer
-//!   (`FaultPlan`, `run_with_faults`, the fault PRNGs) out of `Protocol`
-//!   impls entirely, and out of every non-test file except `crates/wsn`
-//!   and the runner module `crates/core/src/protocols.rs`: protocols stay
-//!   fault-oblivious, mirroring the paper's locality contract.
-//! * [`passes::Pass::ChurnScope`] — keeps topology-change machinery
-//!   (`DynamicTopology`, `ChurnPlan`, `TopologyEvent`, ...) out of
-//!   `Protocol` impls and confined to the simulator, the incremental
-//!   detector and the churn driver.
-//! * [`passes::Pass::ParScope`] — keeps raw threading machinery
-//!   (`std::thread`, atomics, locks, channels) inside `crates/par`;
-//!   algorithm crates reach parallelism only through the deterministic
-//!   `ballfit-par` API, and protocol impls not even that — a simulated
-//!   node is a single-threaded message handler.
-//! * [`passes::Pass::ObsScope`] — keeps the trace-emission API (`Trace`,
-//!   `TraceEvent`, ...) out of `Protocol` impls: only the simulator, the
-//!   detectors and the runner layer emit observations, so per-protocol
-//!   cost accounting cannot be skewed from inside a message handler.
-//! * [`passes::Pass::RecoveryScope`] — keeps the checkpoint/restore API
-//!   (`TopologySnapshot`, `DetectorCheckpoint`, `checkpoint`, `restore`,
-//!   `snapshot`) out of `Protocol` impls: crash recovery restores the
-//!   *simulation* and replays; a handler snapshotting its own state
-//!   would break replay byte-identity.
-//! * [`passes::Pass::ServeScope`] — keeps the multi-tenant service API
-//!   (`Service`, `ServeRequest`, `serve_log`, ...) out of `Protocol`
-//!   impls and confined to `crates/serve` in non-test code: the daemon
-//!   orchestrates the detectors from above, and algorithm crates must
-//!   not grow a dependency on the wire layer.
-//! * [`passes::Pass::BackendScope`] — keeps the pluggable-backend API
-//!   (`BoundaryBackend`, `BackendDetection`, the rival detectors) out
-//!   of `Protocol` impls and confined to `crates/backends` plus its two
-//!   consumers (`crates/serve`, `crates/cli`) in non-test code:
-//!   backends adapt whole detection pipelines from above, so the
-//!   pipeline must compile without knowing the trait exists.
+//! The checks live where they are cheapest to state:
 //!
-//! Four **interprocedural** passes extend these one-call-deep checks to
-//! whole call chains, using an item-level AST ([`ast`]) and a workspace
-//! call graph ([`callgraph`]):
-//!
-//! * [`passes::Pass::DeterminismTaint`] — protocol fns and detector
-//!   entry points must not *transitively* reach nondeterminism sources.
-//! * [`passes::Pass::PanicReachability`] — protocol handlers must not
-//!   transitively reach `unwrap`/`expect`/`panic!`/indexing outside
-//!   annotated invariant sites.
-//! * [`passes::Pass::TransitiveLocality`] — protocol handlers must not
-//!   reach global-state accessors through helpers.
-//! * [`passes::Pass::StaleAllow`] — every `allow(...)` directive must
-//!   suppress at least one finding; dead directives are errors.
+//! * **`clippy.toml`** (root, with narrower copies in `crates/par` and
+//!   `crates/bench`) bans `HashMap`/`HashSet`/`RandomState`, wall-clock
+//!   `now()` and raw threading through `disallowed-types` and
+//!   `disallowed-methods`, denied in `[workspace.lints.clippy]`.
+//! * **The Cargo graph** keeps the service and backend APIs out of the
+//!   algorithm crates: naming them there would need a dependency cycle.
+//! * **This crate** keeps what needs `impl Protocol` scope or the call
+//!   graph; [`passes`] describes each pass. The `*-scope` passes are one
+//!   rule over a table ([`passes::ScopeRule`] rows in
+//!   [`LintConfig::default`]): a row's identifier is a finding inside any
+//!   `Protocol` impl, and outside the row's home paths in non-test code.
 //!
 //! Findings can be locally waived with a justification comment on the
 //! same or preceding line: `// ballfit-lint: allow(float-safety)`. For
@@ -78,13 +34,13 @@
 //! additionally emits a stable machine-readable report ([`report`]),
 //! and `--diff BASELINE` gates on drift against a committed report
 //! (`results/lint_baseline.json`). The `tests/lint_clean.rs`
-//! integration test pins the workspace to zero findings, and
-//! `scripts/check.sh` runs analyzer, report validation and drift gate
-//! as part of the tier-1 gate.
+//! integration test pins the workspace to zero findings and guards the
+//! `clippy.toml` bans, and `scripts/check.sh` runs the analyzer, report
+//! validation and drift gate.
 //!
 //! The crate is dependency-free by design (no `syn`): builds must work in
 //! offline/vendorless environments, and token-level matching plus brace
-//! scoping (see [`lexer`]) is sufficient for every pass above.
+//! scoping (see [`lexer`]) is sufficient for every pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -122,8 +78,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Analyzes every `.rs` file of the configured crates under
-/// `workspace_root` with all fifteen passes (token-level +
-/// interprocedural). Returned diagnostics are sorted by file, line,
+/// `workspace_root` with every pass (token-level + interprocedural). Returned diagnostics are sorted by file, line,
 /// pass, message; file labels are workspace-relative.
 pub fn analyze_workspace(workspace_root: &Path, cfg: &LintConfig) -> io::Result<Analysis> {
     let mut files = Vec::new();

@@ -12,10 +12,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ballfit_lint::{
-    analyze_source, analyze_workspace, default_workspace_root, report, Analysis, LintConfig,
+    analyze_source, analyze_workspace, default_workspace_root, report, Analysis, LintConfig, Pass,
 };
 
 fn main() -> ExitCode {
+    let passes = Pass::ALL.map(Pass::name).join(", ");
     let mut root = default_workspace_root();
     let mut files: Vec<PathBuf> = Vec::new();
     let mut json_out: Option<PathBuf> = None;
@@ -46,17 +47,16 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "ballfit-lint: enforce determinism / locality / panic-safety / float-safety /\n\
-                     fault-scope / churn-scope / par-scope / obs-scope / recovery-scope /\n\
-                     serve-scope / backend-scope, plus the interprocedural determinism-taint /\n\
-                     panic-reachability / transitive-locality passes and the stale-allow audit\n\
+                    "ballfit-lint: enforce the workspace invariants that need `impl Protocol`\n\
+                     scope or the call graph.\n\
+                     Passes: {passes}.\n\
                      \n\
                      USAGE: ballfit-lint [--root <workspace>] [--json <report.json>]\n\
                      \x20                   [--diff <baseline.json>] [FILE.rs ...]\n\
                      \n\
                      With no FILE arguments, analyzes every .rs file in the workspace's\n\
-                     crates/{{core,wsn,geom,mds,netgen,par,obs,serve,backends}} with all 15\n\
-                     passes. FILE arguments run the 11 token-level passes on those files only (the\n\
+                     crates/{{core,wsn,geom,mds,netgen,par,obs,serve,backends}} with every\n\
+                     pass. FILE arguments run the token-level passes on those files only (the\n\
                      interprocedural passes need the whole workspace).\n\
                      \n\
                      --json writes a stable machine-readable report (fixed key order,\n\
@@ -68,7 +68,9 @@ fn main() -> ExitCode {
                      Suppress a finding with a `// ballfit-lint: allow(<pass>)` comment on\n\
                      the same or previous line; for the transitive passes, annotate the\n\
                      source site (the panic/nondeterminism token). Every directive must\n\
-                     suppress something — stale ones fail the stale-allow audit."
+                     suppress something — stale ones fail the stale-allow audit.\n\
+                     \n\
+                     The determinism and threading bans live in clippy.toml (cargo clippy)."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -170,10 +172,7 @@ fn main() -> ExitCode {
     }
     if analysis.diagnostics.is_empty() {
         eprintln!(
-            "ballfit-lint: clean ({} files, {} functions; passes: determinism, locality, \
-             panic-safety, float-safety, fault-scope, churn-scope, par-scope, obs-scope, \
-             recovery-scope, serve-scope, backend-scope, determinism-taint, \
-             panic-reachability, transitive-locality, stale-allow)",
+            "ballfit-lint: clean ({} files, {} functions; passes: {passes})",
             analysis.files, analysis.functions
         );
         ExitCode::SUCCESS

@@ -430,12 +430,12 @@ mod tests {
 
     #[test]
     fn fingerprints_ignore_lines_but_count_occurrences() {
-        let a = entries(&[diag(Pass::Determinism, "f.rs", 10, "m")]);
-        let b = entries(&[diag(Pass::Determinism, "f.rs", 99, "m")]);
+        let a = entries(&[diag(Pass::Locality, "f.rs", 10, "m")]);
+        let b = entries(&[diag(Pass::Locality, "f.rs", 99, "m")]);
         assert_eq!(a[0].fingerprint, b[0].fingerprint);
         let two = entries(&[
-            diag(Pass::Determinism, "f.rs", 10, "m"),
-            diag(Pass::Determinism, "f.rs", 11, "m"),
+            diag(Pass::Locality, "f.rs", 10, "m"),
+            diag(Pass::Locality, "f.rs", 11, "m"),
         ]);
         assert_ne!(two[0].fingerprint, two[1].fingerprint, "occurrence index disambiguates");
     }
@@ -458,14 +458,14 @@ mod tests {
 
     #[test]
     fn diff_reports_drift_in_both_directions() {
-        let base = render(&analysis(vec![diag(Pass::Determinism, "f.rs", 1, "old")]));
-        let cur = entries(&[diag(Pass::Determinism, "f.rs", 1, "new")]);
+        let base = render(&analysis(vec![diag(Pass::Locality, "f.rs", 1, "old")]));
+        let cur = entries(&[diag(Pass::Locality, "f.rs", 1, "new")]);
         let drift = diff(&cur, &base).expect("baseline parses");
         assert_eq!(drift.added.len(), 1);
         assert_eq!(drift.removed.len(), 1);
         assert!(!drift.is_empty());
         // Identical sets (even at different lines) are no drift.
-        let same = entries(&[diag(Pass::Determinism, "f.rs", 77, "old")]);
+        let same = entries(&[diag(Pass::Locality, "f.rs", 77, "old")]);
         assert!(diff(&same, &base).expect("parses").is_empty());
     }
 

@@ -132,23 +132,11 @@ pub struct LocalFrameConfig {
     pub refine: bool,
     /// SMACOF parameters when `refine` is set.
     pub smacof: SmacofConfig,
-    /// Lower bound asserted for *unmeasured* pairs during refinement: in a
-    /// radio network an unmeasured pair is an out-of-range pair, so its
-    /// true distance exceeds the radio range. `None` leaves unmeasured
-    /// pairs unconstrained.
-    pub missing_floor: Option<f64>,
-    /// Hinge weight of the floor terms relative to measured pairs.
-    pub floor_weight: f64,
 }
 
 impl Default for LocalFrameConfig {
     fn default() -> Self {
-        LocalFrameConfig {
-            refine: true,
-            smacof: SmacofConfig::default(),
-            missing_floor: None,
-            floor_weight: 0.1,
-        }
+        LocalFrameConfig { refine: true, smacof: SmacofConfig::default() }
     }
 }
 
@@ -232,17 +220,10 @@ fn refine(
 ) -> f64 {
     let n = full.n();
     let measured = |i: usize, j: usize| measured[i * n + j];
-    match (config.refine, config.missing_floor) {
-        (false, _) => smacof::stress(coords, full, measured),
-        (true, None) => smacof::refine_weighted(coords, full, measured, config.smacof),
-        (true, Some(floor)) => smacof::refine_with_floors(
-            coords,
-            full,
-            measured,
-            |i, j| (i != j && !measured(i, j)).then_some(floor),
-            config.floor_weight,
-            config.smacof,
-        ),
+    if config.refine {
+        smacof::refine_weighted(coords, full, measured, config.smacof)
+    } else {
+        smacof::stress(coords, full, measured)
     }
 }
 

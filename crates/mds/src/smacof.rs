@@ -37,7 +37,7 @@ pub fn stress<W: Fn(usize, usize) -> bool>(
     s
 }
 
-/// Configuration for [`refine`].
+/// Configuration for [`refine_weighted`].
 #[derive(Debug, Clone, Copy)]
 pub struct SmacofConfig {
     /// Maximum Guttman iterations.
@@ -50,52 +50,6 @@ impl Default for SmacofConfig {
     fn default() -> Self {
         SmacofConfig { max_iterations: 50, tolerance: 1e-6 }
     }
-}
-
-/// Refines an embedding in place with uniform-weight SMACOF iterations,
-/// returning the final stress. The initial `coords` (typically the
-/// classical-MDS solution) determine the basin of attraction.
-///
-/// The uniform-weight Guttman transform is `X ← B(Z) Z / n` with
-/// `B(Z)_{ij} = −d_ij / ‖z_i − z_j‖` off the diagonal; coincident points
-/// contribute zero (standard SMACOF convention).
-///
-/// # Panics
-///
-/// Panics if `coords.len() != distances.n()`.
-pub fn refine(coords: &mut [Vec3], distances: &SquareMatrix, config: SmacofConfig) -> f64 {
-    let n = coords.len();
-    assert_eq!(n, distances.n(), "dimension mismatch");
-    if n < 2 {
-        return 0.0;
-    }
-    let all = |_: usize, _: usize| true;
-    let mut current = stress(coords, distances, all);
-    for _ in 0..config.max_iterations {
-        // Guttman transform: X_i ← (1/n) · (B_ii Z_i + Σ_{j≠i} B_ij Z_j)
-        // with B_ij = −d_ij / ‖z_i − z_j‖ and B_ii = −Σ_{j≠i} B_ij.
-        let z: Vec<Vec3> = coords.to_vec();
-        for (i, c) in coords.iter_mut().enumerate() {
-            let mut acc = Vec3::ZERO;
-            let mut diag = 0.0;
-            for (j, zj) in z.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let dist = z[i].distance(*zj);
-                let b = if dist > 1e-12 { -distances[(i, j)] / dist } else { 0.0 };
-                acc += *zj * b;
-                diag -= b;
-            }
-            *c = (z[i] * diag + acc) / n as f64;
-        }
-        let next = stress(coords, distances, all);
-        if current - next <= config.tolerance * current.max(1e-30) {
-            return next;
-        }
-        current = next;
-    }
-    current
 }
 
 /// Refines an embedding against *selected* pairs only (binary weights):
@@ -202,106 +156,6 @@ fn pair_stress(coords: &[Vec3], pairs: &[(usize, usize, f64)], lengths: &mut [f6
     s
 }
 
-/// Like [`refine_weighted`], with an additional *floor* on selected pairs:
-/// for pairs where `floor(i, j)` is `Some(f)`, the embedding is penalized
-/// (with weight `floor_weight`) whenever it places them closer than `f` —
-/// a one-sided hinge.
-///
-/// This encodes radio semantics: a pair with *no* distance measurement is
-/// a pair out of radio range, i.e. truly farther than the range. Without
-/// the floor, unmeasured pairs are unconstrained and noisy frames can
-/// collapse them inward, blocking the empty-ball regions Unit Ball
-/// Fitting looks for.
-///
-/// Returns the hinge-augmented stress of the best iterate (kept in
-/// `coords`).
-///
-/// # Panics
-///
-/// Panics if `coords.len() != distances.n()` or `floor_weight < 0`.
-pub fn refine_with_floors<W, Fl>(
-    coords: &mut [Vec3],
-    distances: &SquareMatrix,
-    weight: W,
-    floor: Fl,
-    floor_weight: f64,
-    config: SmacofConfig,
-) -> f64
-where
-    W: Fn(usize, usize) -> bool,
-    Fl: Fn(usize, usize) -> Option<f64>,
-{
-    let n = coords.len();
-    assert_eq!(n, distances.n(), "dimension mismatch");
-    assert!(floor_weight >= 0.0, "floor weight must be non-negative");
-    if n < 2 {
-        return 0.0;
-    }
-    let wfn = |i: usize, j: usize| weight(i.min(j), i.max(j));
-    let floor_fn = |i: usize, j: usize| floor(i.min(j), i.max(j));
-
-    let total_stress = |x: &[Vec3]| -> f64 {
-        let mut s = stress(x, distances, wfn);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if let Some(f) = floor_fn(i, j) {
-                    let d = x[i].distance(x[j]);
-                    if d < f {
-                        let err = f - d;
-                        s += floor_weight * err * err;
-                    }
-                }
-            }
-        }
-        s
-    };
-
-    let mut best = coords.to_vec();
-    let mut best_stress = total_stress(coords);
-    let mut current = best_stress;
-    for _ in 0..config.max_iterations {
-        let z: Vec<Vec3> = coords.to_vec();
-        for (i, c) in coords.iter_mut().enumerate() {
-            let mut acc = Vec3::ZERO;
-            let mut total_weight = 0.0;
-            for (j, zj) in z.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let delta = z[i] - z[j];
-                let dist = delta.norm();
-                if wfn(i, j) {
-                    let target =
-                        if dist > 1e-12 { *zj + delta * (distances[(i, j)] / dist) } else { *zj };
-                    acc += target;
-                    total_weight += 1.0;
-                } else if let Some(f) = floor_fn(i, j) {
-                    if dist < f && dist > 1e-12 {
-                        // Push out to the floor with the hinge weight.
-                        let target = *zj + delta * (f / dist);
-                        acc += target * floor_weight;
-                        total_weight += floor_weight;
-                    }
-                }
-            }
-            if total_weight > 0.0 {
-                *c = acc / total_weight;
-            }
-        }
-        let next = total_stress(coords);
-        if next < best_stress {
-            best_stress = next;
-            best.copy_from_slice(coords);
-        }
-        if (current - next).abs() <= config.tolerance * current.max(1e-30) {
-            break;
-        }
-        current = next;
-    }
-    coords.copy_from_slice(&best);
-    best_stress
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,7 +199,7 @@ mod tests {
             .map(|(i, &p)| p + Vec3::new(0.05, -0.04, 0.03) * ((i % 3) as f64))
             .collect();
         let before = stress(&coords, &d, |_, _| true);
-        let after = refine(&mut coords, &d, SmacofConfig::default());
+        let after = refine_weighted(&mut coords, &d, |_, _| true, SmacofConfig::default());
         assert!(after < before, "stress must not increase: {before} -> {after}");
         assert!(after < 1e-6, "should converge to near-exact: {after}");
     }
@@ -374,7 +228,7 @@ mod tests {
         });
         let mut coords = classical_mds(&noisy).unwrap();
         let rmse_before = embedding_rmse(&coords, &noisy);
-        refine(&mut coords, &noisy, SmacofConfig::default());
+        refine_weighted(&mut coords, &noisy, |_, _| true, SmacofConfig::default());
         let rmse_after = embedding_rmse(&coords, &noisy);
         assert!(
             rmse_after <= rmse_before + 1e-12,
@@ -386,7 +240,7 @@ mod tests {
     fn weighted_refine_fixes_measured_pairs_despite_bad_fill() {
         // Square with unit sides measured; diagonals "completed" to inflated
         // 2-hop values (2.0 instead of √2). Weighted refinement must restore
-        // the measured sides while uniform refinement compromises them.
+        // the measured sides, which fitting every pair would compromise.
         let side = 1.0;
         let mut d = SquareMatrix::zeros(4);
         let pairs = [(0, 1), (1, 2), (2, 3), (3, 0)];
@@ -410,58 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn floors_push_unmeasured_pairs_apart() {
-        // Two measured unit edges 0-1 and 1-2; pair (0,2) unmeasured with
-        // floor 1.5, but seeded collapsed (distance 0.4). The floor must
-        // push 0 and 2 apart past ~1.5 while keeping the measured edges.
-        let mut d = SquareMatrix::zeros(3);
-        d[(0, 1)] = 1.0;
-        d[(1, 0)] = 1.0;
-        d[(1, 2)] = 1.0;
-        d[(2, 1)] = 1.0;
-        let measured = |i: usize, j: usize| (i, j) == (0, 1) || (i, j) == (1, 2);
-        let floor = |i: usize, j: usize| ((i, j) == (0, 2)).then_some(1.5);
-        let mut coords = vec![
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(0.9, 0.3, 0.0),
-            Vec3::new(0.4, 0.0, 0.0), // collapsed toward node 0
-        ];
-        refine_with_floors(
-            &mut coords,
-            &d,
-            measured,
-            floor,
-            0.5,
-            SmacofConfig { max_iterations: 200, tolerance: 1e-12 },
-        );
-        assert!((coords[0].distance(coords[1]) - 1.0).abs() < 0.05);
-        assert!((coords[1].distance(coords[2]) - 1.0).abs() < 0.05);
-        assert!(
-            coords[0].distance(coords[2]) > 1.3,
-            "floor not enforced: {}",
-            coords[0].distance(coords[2])
-        );
-    }
-
-    #[test]
-    fn floors_inactive_when_already_far() {
-        let mut d = SquareMatrix::zeros(2);
-        d[(0, 1)] = 1.0;
-        d[(1, 0)] = 1.0;
-        let mut coords = vec![Vec3::ZERO, Vec3::X];
-        let s = refine_with_floors(
-            &mut coords,
-            &d,
-            |_, _| true,
-            |_, _| Some(0.5), // already satisfied
-            1.0,
-            SmacofConfig::default(),
-        );
-        assert!(s < 1e-12);
-        assert!((coords[0].distance(coords[1]) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn weighted_refine_with_no_pairs_is_a_noop() {
         let d = SquareMatrix::zeros(3);
         let mut coords = vec![Vec3::ZERO, Vec3::X, Vec3::Y];
@@ -475,6 +277,6 @@ mod tests {
     fn refine_trivial_sizes() {
         let d = SquareMatrix::zeros(1);
         let mut one = vec![Vec3::ZERO];
-        assert_eq!(refine(&mut one, &d, SmacofConfig::default()), 0.0);
+        assert_eq!(refine_weighted(&mut one, &d, |_, _| true, SmacofConfig::default()), 0.0);
     }
 }

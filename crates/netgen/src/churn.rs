@@ -84,11 +84,6 @@ impl ChurnDriver {
         let delta = self.dynamic.apply(&resolved);
         Ok((resolved, delta))
     }
-
-    /// Consumes the driver, yielding the final dynamic topology.
-    pub fn into_dynamic(self) -> DynamicTopology {
-        self.dynamic
-    }
 }
 
 /// Shape-membership check used by tests and sweeps: `true` when every

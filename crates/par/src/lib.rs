@@ -24,7 +24,7 @@
 //!
 //! No `rayon`, no channels crates: `std::thread::scope` + `mpsc` only,
 //! and no timing — wall-clock measurement lives in `crates/bench` so the
-//! determinism lint's `Instant` ban on library code holds.
+//! `Instant::now` ban in this crate's `clippy.toml` holds.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

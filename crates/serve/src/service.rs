@@ -568,16 +568,6 @@ impl Service {
         Service::new(Parallelism::sequential())
     }
 
-    /// Ids of the live instances, ascending.
-    pub fn instance_ids(&self) -> Vec<String> {
-        self.instances.keys().cloned().collect()
-    }
-
-    /// `true` once a `shutdown` request has been processed.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// Handles one request in program order.
     pub fn handle(&mut self, req: &ServeRequest) -> ServeResponse {
         if self.down {

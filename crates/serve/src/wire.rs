@@ -858,6 +858,11 @@ fn parse_restore(obj: &JsonValue) -> Parsed<ServeRequest> {
     Ok(ServeRequest::Restore { id, checkpoint })
 }
 
+/// The largest `max_delay` an `inject` accepts. The fault engine's round
+/// budget grows with the delay and every round walks the whole tenant, so
+/// one inject holds its worker for time linear in `max_delay`.
+const MAX_INJECT_DELAY: u32 = 64;
+
 fn parse_inject(obj: &JsonValue) -> Parsed<ServeRequest> {
     let id = get_str(obj, "id")?;
     let defaults = FaultKnobs::default();
@@ -871,7 +876,11 @@ fn parse_inject(obj: &JsonValue) -> Parsed<ServeRequest> {
                 loss: get_unit_or(f, "loss", defaults.loss)?,
                 duplication: get_unit_or(f, "duplication", defaults.duplication)?,
                 max_delay: u32::try_from(get_u64_or(f, "max_delay", defaults.max_delay.into())?)
-                    .map_err(|_| bad("'max_delay' must fit in 32 bits"))?,
+                    .ok()
+                    .filter(|&d| d <= MAX_INJECT_DELAY)
+                    .ok_or_else(|| {
+                        bad(format!("'max_delay' must be at most {MAX_INJECT_DELAY}"))
+                    })?,
                 crash_fraction: get_unit_or(f, "crash_fraction", defaults.crash_fraction)?,
                 crash_down: get_u64_or(f, "crash_down", defaults.crash_down as u64)? as usize,
                 // Absent → the default recovery round; explicit null →

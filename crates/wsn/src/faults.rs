@@ -13,7 +13,7 @@
 //! decision is drawn from a hand-rolled seeded PRNG ([`SplitMix64`]
 //! seeding [`Xoshiro256PlusPlus`]) in a fixed order: same plan + same
 //! protocol ⇒ bit-identical run. No `thread_rng`, no wall clock — the
-//! `ballfit-lint` determinism pass holds for this module like any other.
+//! `clippy.toml` determinism bans hold for this module like any other.
 //!
 //! Fault semantics:
 //!

@@ -3,15 +3,23 @@
 #
 #   1. cargo fmt --check        formatting
 #   2. cargo clippy -D warnings style lints ([workspace.lints] deny set)
-#   3. ballfit-lint             the 11 token-level passes (determinism /
-#                               locality / panic-safety / float-safety /
-#                               fault-scope / churn-scope / par-scope /
-#                               obs-scope / recovery-scope / serve-scope /
-#                               backend-scope)
-#                               plus the interprocedural
-#                               determinism-taint / panic-reachability /
-#                               transitive-locality passes and the
-#                               stale-allow audit (crates/lint). The step
+#                               plus the bans of clippy.toml
+#                               (disallowed-types/-methods): HashMap,
+#                               HashSet and RandomState everywhere;
+#                               wall-clock now() everywhere but
+#                               crates/bench; raw threading (locks,
+#                               atomics, channels, std::thread)
+#                               everywhere but crates/par and
+#                               crates/bench, which carry their own
+#                               clippy.toml
+#   3. ballfit-lint             the token-level passes that need `impl
+#                               Protocol` scope (locality / panic-safety,
+#                               and the seven *-scope rows of one rule
+#                               table) plus float-safety, the
+#                               interprocedural determinism-taint /
+#                               panic-reachability / transitive-locality
+#                               passes and the stale-allow audit
+#                               (crates/lint). The step
 #                               also emits the machine-readable report
 #                               twice (must be byte-identical), validates
 #                               it by parsing it with the serve JSON codec
@@ -87,15 +95,11 @@
 # The workspace has no registry dependencies: every gate runs under plain
 # cargo, offline.
 #
-# Usage: scripts/check.sh [--fast]
-#   --fast skips clippy and runs tests in the default profile only.
+# Usage: scripts/check.sh
+#   Every gate always runs: clippy (gate 2) carries the determinism and
+#   threading bans, so no mode may skip it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-FAST=0
-if [[ "${1:-}" == "--fast" ]]; then
-    FAST=1
-fi
 
 step() {
     echo
@@ -105,10 +109,8 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-if [[ "$FAST" -eq 0 ]]; then
-    step "cargo clippy (deny warnings)"
-    cargo clippy --workspace --all-targets -- -D warnings
-fi
+step "cargo clippy (deny warnings, clippy.toml bans)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

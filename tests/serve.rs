@@ -435,14 +435,18 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_fraction\":2}}", "bad-request"),
         // 2³² + 1 rounds: refused, not truncated to a delay of 1.
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967297}}", "bad-request"),
+        // Past 64 rounds an inject would hold its worker for time linear
+        // in the delay: refused, up to and including 2³² − 1.
+        ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":65}}", "bad-request"),
+        ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967295}}", "bad-request"),
     ] {
         let err = ballfit_serve::parse_request(line).expect_err(line);
         assert_eq!(err.code(), code, "{line}");
     }
-    // The largest delay that fits still parses, unchanged.
-    let line = "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967295}}";
+    // The largest accepted delay parses unchanged.
+    let line = "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":64}}";
     match ballfit_serve::parse_request(line) {
-        Ok(ServeRequest::Inject { faults, .. }) => assert_eq!(faults.max_delay, u32::MAX),
+        Ok(ServeRequest::Inject { faults, .. }) => assert_eq!(faults.max_delay, 64),
         other => panic!("{line}: {other:?}"),
     }
     // The 32-bit config fields of a create and of a restore's checkpoint:
