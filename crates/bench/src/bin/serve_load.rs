@@ -38,7 +38,7 @@ use ballfit_serve::{
     encode_request, CreateSource, FaultKnobs, QueryKind, ServeRequest, ServeResponse, Service,
     WireConfig, WireEvent,
 };
-use ballfit_wsn::churn::{ChurnPlan, TopologyEvent};
+use ballfit_wsn::churn::ChurnPlan;
 
 struct Load {
     instances: usize,
@@ -68,16 +68,6 @@ fn instance_model(scenario: Scenario, load: &Load, seed: u64) -> NetworkModel {
         .seed(seed)
         .build()
         .expect("instance model generates")
-}
-
-fn wire_event(ev: &TopologyEvent) -> WireEvent {
-    match *ev {
-        TopologyEvent::Join { position } => {
-            WireEvent::Join { position: [position.x, position.y, position.z] }
-        }
-        TopologyEvent::Leave { node } => WireEvent::Leave { node },
-        TopologyEvent::Move { node, to } => WireEvent::Move { node, to: [to.x, to.y, to.z] },
-    }
 }
 
 /// Builds the whole request log up front: `create` for every instance,
@@ -117,7 +107,7 @@ fn request_log(load: &Load) -> (Vec<ServeRequest>, Vec<String>) {
         let mut per_epoch = vec![Vec::new(); load.epochs];
         for ev in plan.schedule(model.len()) {
             let (resolved, _) = driver.step(&ev).expect("mirror driver stays in sync");
-            per_epoch[ev.epoch].push(wire_event(&resolved));
+            per_epoch[ev.epoch].push(resolved.into());
         }
         ids.push(id);
         batches.push(per_epoch);

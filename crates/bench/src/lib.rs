@@ -175,9 +175,9 @@ pub fn export_mesh(name: &str, mesh: &ballfit_geom::mesh::TriMesh) -> PathBuf {
 }
 
 /// Checks that `src` is exactly one well-formed JSON value (RFC 8259,
-/// plus whitespace) by parsing it with the serve protocol's codec.
+/// plus whitespace) by parsing it with the workspace's JSON codec.
 pub fn validate_json(src: &str) -> Result<(), String> {
-    ballfit_serve::json::parse(src).map(drop).map_err(|e| format!("invalid JSON: {e}"))
+    ballfit_json::parse(src).map(drop).map_err(|e| format!("invalid JSON: {e}"))
 }
 
 /// Checks JSONL — one well-formed JSON value per non-blank line, the
@@ -219,64 +219,6 @@ pub fn validate_and_exit(path: &Path, jsonl: bool) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validator_accepts_well_formed_documents() {
-        for ok in [
-            "null",
-            "true",
-            " false ",
-            "0",
-            "-0",
-            "-12.5e3",
-            "1e+9",
-            r#""a \"quoted\" é string \u00e9 \/""#,
-            "[]",
-            "{}",
-            "[1, 2, [3, {\"k\": null}]]",
-            r#"{"meta": {"smoke": true, "nodes": 180}, "cells": [{"loss": 0.1}]}"#,
-        ] {
-            assert!(validate_json(ok).is_ok(), "should accept: {ok}");
-        }
-        let nested = "[".repeat(32) + &"]".repeat(32);
-        assert!(validate_json(&nested).is_ok(), "artifact-depth nesting is fine");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "}",
-            "[1,]",
-            "{\"a\":1,}",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "{a: 1}",
-            "nul",
-            "01",
-            "-",
-            "1.",
-            "1e",
-            ".5",
-            "+1",
-            "\"unterminated",
-            "\"bad \\x escape\"",
-            "\"bad \\u12g4 escape\"",
-            "\"signed \\u+123 escape\"",
-            "\"raw\ttab\"",
-            "[1] trailing",
-            "NaN",
-            "Infinity",
-            "[1, NaN]",
-        ] {
-            assert!(validate_json(bad).is_err(), "should reject: {bad}");
-        }
-        let deep = "[".repeat(4096);
-        assert!(validate_json(&deep).is_err(), "runaway nesting must fail, not overflow");
-        let closed = "[".repeat(4096) + &"]".repeat(4096);
-        assert!(validate_json(&closed).is_err(), "balanced runaway nesting must fail too");
-    }
 
     #[test]
     fn jsonl_validation_is_line_by_line() {

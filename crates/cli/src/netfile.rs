@@ -1,5 +1,5 @@
-//! The CLI's JSON documents, written and read with the serve protocol's
-//! codec ([`ballfit_serve::json`]).
+//! The CLI's JSON documents, written and read with the workspace's JSON
+//! codec ([`ballfit_json`]).
 //!
 //! A network file (`generate --out`, read back by `--net`) is one object:
 //!
@@ -16,33 +16,26 @@
 
 use ballfit::metrics::{DetectionStats, HopHistogram};
 use ballfit_geom::Vec3;
+use ballfit_json::{arr, obj, JsonValue};
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
-use ballfit_serve::json::{self, JsonValue};
 use ballfit_wsn::Topology;
 
 /// Encodes `model` as a network file (one line).
 pub fn encode_network(model: &NetworkModel) -> String {
-    let mut out = String::from("{\"scenario\":");
-    json::push_str_literal(&mut out, model.scenario().name());
-    out.push_str(&format!(",\"shape_seed\":{},\"radio_range\":", model.shape_seed()));
-    json::push_f64(&mut out, model.radio_range());
-    out.push_str(",\"positions\":[");
-    for (i, p) in model.positions().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_vec3(&mut out, p.to_array());
-    }
-    out.push_str("],\"is_surface\":");
-    json::push_bool_list(&mut out, model.is_surface());
-    out.push_str("}\n");
-    out
+    let doc = obj([
+        ("scenario", model.scenario().name().into()),
+        ("shape_seed", model.shape_seed().into()),
+        ("radio_range", model.radio_range().into()),
+        ("positions", arr(model.positions().iter().map(|p| p.to_array()))),
+        ("is_surface", model.is_surface().into()),
+    ]);
+    format!("{doc}\n")
 }
 
 /// Decodes a network file written by [`encode_network`].
 pub fn decode_network(text: &str) -> Result<NetworkModel, String> {
-    let doc = json::parse(text).map_err(|e| format!("network file: {e}"))?;
+    let doc = ballfit_json::parse(text).map_err(|e| format!("network file: {e}"))?;
     let field = |key: &str| doc.get(key).ok_or_else(|| format!("network file: missing \"{key}\""));
     let invalid = |what: &str| format!("network file: {what}");
 
@@ -85,22 +78,23 @@ fn position(value: &JsonValue) -> Option<Vec3> {
 /// `stats` as one line of compact JSON, fields in declaration order.
 pub fn stats_json(stats: &DetectionStats) -> String {
     let hops = |h: &HopHistogram| {
-        format!(
-            "{{\"one\":{},\"two\":{},\"three\":{},\"beyond\":{}}}",
-            h.one, h.two, h.three, h.beyond
-        )
+        obj([
+            ("one", h.one.into()),
+            ("two", h.two.into()),
+            ("three", h.three.into()),
+            ("beyond", h.beyond.into()),
+        ])
     };
-    format!(
-        "{{\"truth\":{},\"found\":{},\"correct\":{},\"mistaken\":{},\"missing\":{},\
-         \"mistaken_hops\":{},\"missing_hops\":{}}}",
-        stats.truth,
-        stats.found,
-        stats.correct,
-        stats.mistaken,
-        stats.missing,
-        hops(&stats.mistaken_hops),
-        hops(&stats.missing_hops)
-    )
+    obj([
+        ("truth", stats.truth.into()),
+        ("found", stats.found.into()),
+        ("correct", stats.correct.into()),
+        ("mistaken", stats.mistaken.into()),
+        ("missing", stats.missing.into()),
+        ("mistaken_hops", hops(&stats.mistaken_hops)),
+        ("missing_hops", hops(&stats.missing_hops)),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -203,6 +197,6 @@ mod tests {
              \"mistaken_hops\":{\"one\":1,\"two\":0,\"three\":0,\"beyond\":0},\
              \"missing_hops\":{\"one\":0,\"two\":1,\"three\":0,\"beyond\":1}}"
         );
-        assert!(json::parse(&line).is_ok());
+        assert!(ballfit_json::parse(&line).is_ok());
     }
 }

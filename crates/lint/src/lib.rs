@@ -8,7 +8,7 @@
 //! are easy to regress silently — a convenience `model.positions()` call
 //! in a handler, a helper that reaches a `HashMap` — so this crate
 //! enforces them mechanically over
-//! `crates/{core,wsn,geom,mds,netgen,par,obs,serve,backends}`.
+//! `crates/{core,wsn,geom,mds,netgen,par,obs,serve,backends,json}`.
 //!
 //! The checks live where they are cheapest to state:
 //!
@@ -38,9 +38,10 @@
 //! `clippy.toml` bans, and `scripts/check.sh` runs the analyzer, report
 //! validation and drift gate.
 //!
-//! The crate is dependency-free by design (no `syn`): builds must work in
-//! offline/vendorless environments, and token-level matching plus brace
-//! scoping (see [`lexer`]) is sufficient for every pass.
+//! The crate depends only on `ballfit-json` (itself dependency-free),
+//! which reads and escapes the report; there is no `syn`: builds must
+//! work in offline/vendorless environments, and token-level matching
+//! plus brace scoping (see [`lexer`]) is sufficient for every pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

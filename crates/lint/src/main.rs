@@ -55,15 +55,16 @@ fn main() -> ExitCode {
                      \x20                   [--diff <baseline.json>] [FILE.rs ...]\n\
                      \n\
                      With no FILE arguments, analyzes every .rs file in the workspace's\n\
-                     crates/{{core,wsn,geom,mds,netgen,par,obs,serve,backends}} with every\n\
+                     crates/{{core,wsn,geom,mds,netgen,par,obs,serve,backends,json}} with every\n\
                      pass. FILE arguments run the token-level passes on those files only (the\n\
                      interprocedural passes need the whole workspace).\n\
                      \n\
                      --json writes a stable machine-readable report (fixed key order,\n\
                      per-diagnostic fingerprints; byte-identical across runs on identical\n\
-                     sources). --diff compares the current run's fingerprints against a\n\
-                     committed baseline and exits nonzero on any drift; regenerate the\n\
-                     baseline with `--json results/lint_baseline.json` and commit it.\n\
+                     sources). --diff compares the current run's fingerprints and meta\n\
+                     (passes, file and function counts) against a committed baseline and\n\
+                     exits nonzero on any drift; regenerate the baseline with\n\
+                     `--json results/lint_baseline.json` and commit it.\n\
                      \n\
                      Suppress a finding with a `// ballfit-lint: allow(<pass>)` comment on\n\
                      the same or previous line; for the transitive passes, annotate the\n\
@@ -135,8 +136,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let current = report::entries(&analysis.diagnostics);
-        let drift = match report::diff(&current, &baseline) {
+        let drift = match report::diff(&analysis, &baseline) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -149,18 +149,22 @@ fn main() -> ExitCode {
         for r in &drift.removed {
             eprintln!("lint drift: baseline finding gone {r} (regenerate the baseline)");
         }
+        for m in &drift.meta {
+            eprintln!("lint drift: meta {m} (regenerate the baseline)");
+        }
         return if drift.is_empty() {
             eprintln!(
                 "ballfit-lint: no drift against {} ({} finding(s))",
                 baseline_path.display(),
-                current.len()
+                analysis.diagnostics.len()
             );
             ExitCode::SUCCESS
         } else {
             eprintln!(
-                "ballfit-lint: {} added / {} removed vs {}",
+                "ballfit-lint: {} added / {} removed / {} meta field(s) vs {}",
                 drift.added.len(),
                 drift.removed.len(),
+                drift.meta.len(),
                 baseline_path.display()
             );
             ExitCode::FAILURE

@@ -212,7 +212,9 @@ impl Default for LintConfig {
             reason: reason.to_string(),
         };
         LintConfig {
-            crates: s(&["core", "wsn", "geom", "mds", "netgen", "par", "obs", "serve", "backends"]),
+            crates: s(&[
+                "core", "wsn", "geom", "mds", "netgen", "par", "obs", "serve", "backends", "json",
+            ]),
             protocol_traits: s(&["Protocol"]),
             locality_denied_methods: s(&[
                 // NetworkModel: ground truth a real node cannot observe.
@@ -363,6 +365,7 @@ impl Default for LintConfig {
                 ("ballfit_obs", "obs"),
                 ("ballfit_serve", "serve"),
                 ("ballfit_backends", "backends"),
+                ("ballfit_json", "json"),
             ]
             .iter()
             .map(|(a, k)| (a.to_string(), k.to_string()))

@@ -425,9 +425,8 @@ fn workspace_report_is_reproducible_and_diff_clean() {
     let rendered_b = report::render(&b);
     assert_eq!(rendered_a, rendered_b, "report must be byte-identical across runs");
     // The report parses back and round-trips through the drift gate.
-    let drift = report::diff(&report::entries(&a.diagnostics), &rendered_b)
-        .expect("rendered report is valid baseline input");
-    assert!(drift.is_empty(), "added {:?} removed {:?}", drift.added, drift.removed);
+    let drift = report::diff(&a, &rendered_b).expect("rendered report is valid baseline input");
+    assert!(drift.is_empty(), "{drift:?}");
     assert!(a.functions >= 900, "symbol table shrank suspiciously: {}", a.functions);
 }
 

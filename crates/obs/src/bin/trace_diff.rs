@@ -4,21 +4,33 @@
 //! cargo run -p ballfit-obs --bin trace_diff -- a.jsonl b.jsonl
 //! ```
 //!
-//! Parses both files line-by-line into key/value records and compares
-//! them structurally (a byte diff would also flag formatting-only
-//! differences; this tool only flags differences in recorded facts).
+//! Parses both files line-by-line with `ballfit_json::parse` into
+//! `(key, value)` records and compares them structurally (a byte diff
+//! would also flag formatting-only differences; this tool only flags
+//! differences in recorded facts).
 //! Exit status: 0 identical, 1 structurally different, 2 usage / IO /
 //! parse error. On a difference the first diverging record is reported
 //! with its differing keys.
 
-use ballfit_obs::jsonl;
+use ballfit_json::JsonValue;
 
-fn load(path: &str) -> Result<Vec<Vec<(String, String)>>, String> {
+type Record = Vec<(String, JsonValue)>;
+
+/// Every non-blank line as one object's pairs; errors name the 1-based line.
+fn load(path: &str) -> Result<Vec<Record>, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    jsonl::parse_jsonl(&src).map_err(|e| format!("{path}: {e}"))
+    let mut records = Vec::new();
+    for (i, line) in src.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        match ballfit_json::parse(line) {
+            Ok(JsonValue::Obj(pairs)) => records.push(pairs),
+            Ok(_) => return Err(format!("{path}: line {}: not a JSON object", i + 1)),
+            Err(e) => return Err(format!("{path}: line {}: {e}", i + 1)),
+        }
+    }
+    Ok(records)
 }
 
-fn describe(pairs: &[(String, String)]) -> String {
+fn describe(pairs: &[(String, JsonValue)]) -> String {
     let parts: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
     parts.join(" ")
 }

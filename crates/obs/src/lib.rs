@@ -26,7 +26,8 @@
 //! rolls a trace up into per-protocol msg/node, bytes/node and
 //! ball-tests/node tables.
 //!
-//! The crate is dependency-free by design: observability must never
+//! The crate depends only on `ballfit-json` (itself dependency-free),
+//! which `trace_diff` parses traces with: observability must never
 //! perturb the determinism story it exists to certify.
 
 mod bytes;

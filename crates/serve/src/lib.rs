@@ -33,15 +33,14 @@
 //! ppm fractions — never wall-clock. See `crates/serve/src/service.rs`
 //! module docs for the three rules that make this hold.
 
-pub mod json;
 pub mod service;
 pub mod wire;
 
 pub use service::{Instance, Service};
 pub use wire::{
     encode_request, encode_response, parse_request, CreateSource, FaultKnobs, MeshRow, QueryKind,
-    ServeError, ServeRequest, ServeResponse, StatsRow, WireBackend, WireCheckpoint, WireConfig,
-    WireDetector, WireEvent, WireScene, WireSnapshot,
+    ServeError, ServeRequest, ServeResponse, WireBackend, WireCheckpoint, WireConfig, WireDetector,
+    WireEvent, WireScene,
 };
 
 use ballfit_par::Parallelism;

@@ -33,11 +33,11 @@ use ballfit_netgen::scenario::Scenario;
 use ballfit_obs::summary::summarize;
 use ballfit_obs::Trace;
 use ballfit_par::Parallelism;
-use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent, TopologySnapshot};
+use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent};
 
 use crate::wire::{
     CreateSource, FaultKnobs, MeshRow, QueryKind, ServeError, ServeRequest, ServeResponse,
-    StatsRow, WireBackend, WireCheckpoint, WireConfig, WireDetector, WireEvent, WireSnapshot,
+    WireBackend, WireCheckpoint, WireConfig, WireDetector, WireEvent,
 };
 
 /// Boundary/group view computed by a non-reference backend. The UBF
@@ -162,14 +162,6 @@ impl Instance {
     }
 }
 
-fn vec3_of(p: [f64; 3]) -> Vec3 {
-    Vec3::new(p[0], p[1], p[2])
-}
-
-fn arr_of(p: Vec3) -> [f64; 3] {
-    [p.x, p.y, p.z]
-}
-
 fn create_instance(
     id: &str,
     source: &CreateSource,
@@ -198,7 +190,7 @@ fn create_instance(
                     detail: "at least one position is required".to_string(),
                 });
             }
-            let pos: Vec<Vec3> = positions.iter().copied().map(vec3_of).collect();
+            let pos: Vec<Vec3> = positions.iter().copied().map(Vec3::from).collect();
             DynamicTopology::new(&pos, *range)
         }
     };
@@ -242,9 +234,9 @@ fn apply_events(inst: &mut Instance, id: &str, events: &[WireEvent]) -> ServeRes
     let mut balls = 0u64;
     for ev in events {
         let event = match *ev {
-            WireEvent::Join { position } => TopologyEvent::Join { position: vec3_of(position) },
+            WireEvent::Join { position } => TopologyEvent::Join { position: position.into() },
             WireEvent::Leave { node } => TopologyEvent::Leave { node },
-            WireEvent::Move { node, to } => TopologyEvent::Move { node, to: vec3_of(to) },
+            WireEvent::Move { node, to } => TopologyEvent::Move { node, to: to.into() },
         };
         let delta = inst.dynamic.apply(&event);
         // No extra span wrapper: the per-event `"churn-event"` spans a
@@ -297,35 +289,10 @@ fn query_instance(inst: &Instance, id: &str, what: QueryKind) -> ServeResponse {
                     .collect(),
             }
         }
-        QueryKind::Stats => {
-            let summary = summarize(inst.trace.records());
-            ServeResponse::StatsRows {
-                id: id.to_string(),
-                rows: summary
-                    .rows
-                    .into_iter()
-                    .map(|r| StatsRow {
-                        span: r.name,
-                        nodes: r.nodes,
-                        rounds: r.rounds,
-                        messages: r.messages,
-                        bytes: r.bytes,
-                        delivered: r.delivered,
-                        dropped: r.dropped,
-                        duplicated: r.duplicated,
-                        delayed: r.delayed,
-                        crash_lost: r.crash_lost,
-                        ball_tests: r.ball_tests,
-                        tested_nodes: r.tested_nodes,
-                        retransmits: r.retransmits,
-                        reforwards: r.reforwards,
-                        verdicts: r.verdicts,
-                        degraded: r.degraded,
-                        unreached: r.unreached,
-                    })
-                    .collect(),
-            }
-        }
+        QueryKind::Stats => ServeResponse::StatsRows {
+            id: id.to_string(),
+            rows: summarize(inst.trace.records()).rows,
+        },
         QueryKind::Mesh => {
             let view = NetView::new(
                 inst.dynamic.topology(),
@@ -358,7 +325,6 @@ fn query_instance(inst: &Instance, id: &str, what: QueryKind) -> ServeResponse {
 }
 
 fn checkpoint_instance(inst: &Instance, id: &str) -> ServeResponse {
-    let snap = inst.dynamic.snapshot();
     let det = inst.detector.checkpoint();
     ServeResponse::CheckpointTaken {
         id: id.to_string(),
@@ -366,11 +332,7 @@ fn checkpoint_instance(inst: &Instance, id: &str) -> ServeResponse {
             epoch: inst.epoch,
             injects: inst.injects,
             config: inst.config,
-            snapshot: WireSnapshot {
-                range: snap.range,
-                positions: snap.positions.iter().copied().map(arr_of).collect(),
-                alive: snap.alive,
-            },
+            snapshot: inst.dynamic.snapshot(),
             detector: WireDetector {
                 candidates: det.candidates,
                 degenerate: det.degenerate,
@@ -411,12 +373,7 @@ fn restore_instance(cp: &WireCheckpoint) -> Result<Instance, ServeError> {
             }
         }
     }
-    let snapshot = TopologySnapshot {
-        positions: cp.snapshot.positions.iter().copied().map(vec3_of).collect(),
-        alive: cp.snapshot.alive.clone(),
-        range: cp.snapshot.range,
-    };
-    let dynamic = DynamicTopology::restore(&snapshot);
+    let dynamic = DynamicTopology::restore(&cp.snapshot);
     let checkpoint = DetectorCheckpoint {
         config: cp.config.to_detector(),
         candidates: det.candidates.clone(),

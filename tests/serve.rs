@@ -23,7 +23,7 @@ use ballfit_serve::{
     encode_request, encode_response, CreateSource, FaultKnobs, QueryKind, ServeRequest,
     ServeResponse, Service, WireConfig, WireEvent,
 };
-use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent};
+use ballfit_wsn::churn::{ChurnPlan, DynamicTopology};
 
 /// The E20 thread ladder.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -41,16 +41,6 @@ fn model(scenario: Scenario, seed: u64) -> NetworkModel {
 
 fn wire_positions(model: &NetworkModel) -> Vec<[f64; 3]> {
     model.positions().iter().map(|p| [p.x, p.y, p.z]).collect()
-}
-
-fn wire_event(ev: &TopologyEvent) -> WireEvent {
-    match *ev {
-        TopologyEvent::Join { position } => {
-            WireEvent::Join { position: [position.x, position.y, position.z] }
-        }
-        TopologyEvent::Leave { node } => WireEvent::Leave { node },
-        TopologyEvent::Move { node, to } => WireEvent::Move { node, to: [to.x, to.y, to.z] },
-    }
 }
 
 /// A canned multi-tenant request log: three instances (one scene-built,
@@ -99,10 +89,7 @@ fn multi_tenant_log() -> Vec<ServeRequest> {
         let mut driver = ChurnDriver::new(m, plan.seed.wrapping_add(i as u64));
         for ev in plan.schedule(m.len()) {
             let (resolved, _) = driver.step(&ev).unwrap();
-            log.push(ServeRequest::Events {
-                id: id.to_string(),
-                events: vec![wire_event(&resolved)],
-            });
+            log.push(ServeRequest::Events { id: id.to_string(), events: vec![resolved.into()] });
         }
         log.push(ServeRequest::Query { id: id.to_string(), what: QueryKind::Boundary });
         log.push(ServeRequest::Query { id: id.to_string(), what: QueryKind::Groups });
@@ -177,10 +164,8 @@ fn serve_equals_direct_incremental_driver() {
         let delta = direct_dyn.apply(&resolved);
         let diff = direct.apply(&direct_dyn, &delta);
 
-        let resp = svc.handle(&ServeRequest::Events {
-            id: "x".to_string(),
-            events: vec![wire_event(&resolved)],
-        });
+        let resp = svc
+            .handle(&ServeRequest::Events { id: "x".to_string(), events: vec![resolved.into()] });
         match resp {
             ServeResponse::Applied { promoted, demoted, regrouped, halo, balls, .. } => {
                 assert_eq!(promoted, diff.promoted.len(), "promoted diverged at {resolved:?}");
@@ -222,7 +207,7 @@ fn wire_checkpoint_restore_replay_matches_uninterrupted_run() {
     let mut batches: Vec<Vec<WireEvent>> = vec![Vec::new(); plan.epochs];
     for ev in plan.schedule(m.len()) {
         let (resolved, _) = driver.step(&ev).unwrap();
-        batches[ev.epoch].push(wire_event(&resolved));
+        batches[ev.epoch].push(resolved.into());
     }
     let create = ServeRequest::Create {
         id: "cp".to_string(),
@@ -338,7 +323,9 @@ fn malformed_lines_and_bad_targets_get_typed_errors_in_place() {
 
 #[test]
 fn request_corpus_round_trips_through_the_canonical_codec() {
-    use ballfit_serve::{WireBackend, WireCheckpoint, WireDetector, WireScene, WireSnapshot};
+    use ballfit_geom::Vec3;
+    use ballfit_serve::{WireBackend, WireCheckpoint, WireDetector, WireScene};
+    use ballfit_wsn::churn::TopologySnapshot;
     let requests = vec![
         ServeRequest::Create {
             id: "a".to_string(),
@@ -382,10 +369,10 @@ fn request_corpus_round_trips_through_the_canonical_codec() {
                 epoch: 4,
                 injects: 2,
                 config: WireConfig::default(),
-                snapshot: WireSnapshot {
-                    range: 1.25,
-                    positions: vec![[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                snapshot: TopologySnapshot {
+                    positions: vec![Vec3::ZERO, Vec3::X],
                     alive: vec![true, false],
+                    range: 1.25,
                 },
                 detector: WireDetector {
                     candidates: vec![true, false],
