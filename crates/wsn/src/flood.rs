@@ -317,19 +317,26 @@ mod tests {
         assert!(messages <= 16 * 3, "messages = {messages}");
     }
 
+    /// The paper's IFF flood on a perfect radio, per TTL: fragment sizes
+    /// and message counts on a chain whose node 3 is not a member.
     #[test]
-    fn hardened_with_one_repeat_matches_plain_flood_exactly() {
+    fn one_repeat_flood_pins_sizes_and_messages_per_ttl() {
         let topo = Topology::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let members = [true, true, true, false, true];
-        for ttl in 0..4 {
-            let (plain, plain_msgs) = run_flood(&topo, &members, ttl);
+        let pinned: [(u32, [usize; 5], u64); 4] = [
+            (0, [1, 1, 1, 0, 1], 0),
+            (1, [2, 3, 2, 0, 1], 6),
+            (2, [3, 3, 3, 0, 1], 13),
+            (3, [3, 3, 3, 0, 1], 16),
+        ];
+        for (ttl, sizes, messages) in pinned {
+            assert_eq!(run_flood(&topo, &members, ttl), (sizes.to_vec(), messages), "ttl={ttl}");
             let mut sim =
                 Simulator::new(&topo, |id| HardenedFragmentFlood::new(members[id], ttl, 1));
             let stats = sim.run(ttl as usize + 2);
             assert!(stats.quiescent);
-            let sizes: Vec<usize> = (0..topo.len()).map(|i| sim.node(i).fragment_size()).collect();
-            assert_eq!(sizes, plain, "ttl={ttl}");
-            assert_eq!(stats.messages, plain_msgs, "repeats=1 must not add messages");
+            let got: Vec<usize> = (0..topo.len()).map(|i| sim.node(i).fragment_size()).collect();
+            assert_eq!((got, stats.messages), (sizes.to_vec(), messages), "ttl={ttl}");
             for i in 0..topo.len() {
                 assert_eq!(sim.node(i).reforwards(), 0, "perfect radio never re-forwards");
             }
