@@ -62,7 +62,7 @@ impl BoundaryBackend for UbfBackend {
 
         let cfg = &self.config;
         let topo = view.topology();
-        let (_, ubf) = run_ubf_protocol(view, &cfg.ubf, &cfg.coordinates, trace)
+        let (_, ubf) = run_ubf_protocol(view, &cfg.coordinates, trace)
             .expect("ubf exchange must quiesce on a perfect radio");
         let (_, iff) = run_iff_protocol(topo, &detection.candidates, cfg.iff.ttl, trace)
             .expect("iff flood must quiesce on a perfect radio");

@@ -1,10 +1,11 @@
 //! E22 — backend matrix: the first cross-algorithm head-to-head. Every
-//! registered [`BoundaryBackend`] runs over the full paper gallery, the
-//! E15 fault grid, and the E16 churn grid, and each cell reports quality
-//! against a reference alongside the cost totals (`messages`, `bytes`,
-//! `rounds`, `ball_tests`) that `obs::summary` reconstructs from the
-//! backend's own trace — the same reconstruction the conformance tests
-//! pin against the backend's self-reported tallies.
+//! registered [`BoundaryBackend`](ballfit_backends::BoundaryBackend) runs
+//! over the full paper gallery, the E15 fault grid, and the E16 churn
+//! grid, and each cell reports quality against a reference alongside the
+//! cost totals (`messages`, `bytes`, `rounds`, `ball_tests`) that
+//! `obs::summary` reconstructs from the backend's own trace — the same
+//! reconstruction the conformance tests pin against the backend's
+//! self-reported tallies.
 //!
 //! Quality references per grid:
 //!

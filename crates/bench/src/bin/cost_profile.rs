@@ -40,7 +40,7 @@ use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
 use ballfit::protocols::{run_grouping_protocol, run_iff_protocol, run_ubf_protocol};
 use ballfit::view::NetView;
-use ballfit_bench::{results_path, validate_and_exit};
+use ballfit_bench::{loglog_slope, results_path, validate_and_exit};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
@@ -106,8 +106,7 @@ fn profile(density: f64, smoke: bool) -> (Row, String) {
     // flooding over the candidates, min-label grouping over the final
     // boundary. The runner spans reuse the detector's phase names, so
     // each summary row carries both the computation and the traffic.
-    run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut trace)
-        .expect("perfect radio quiesces");
+    run_ubf_protocol(&view, &cfg.coordinates, &mut trace).expect("perfect radio quiesces");
     run_iff_protocol(model.topology(), &detection.candidates, cfg.iff.ttl, &mut trace)
         .expect("IFF flood quiesces on a perfect radio");
     run_grouping_protocol(model.topology(), &detection.boundary, &mut trace)
@@ -180,25 +179,6 @@ fn profile_at_scale(density: f64, smoke: bool) -> ScaleRow {
         edges,
         ball_tests_per_node: detection.balls_tested as f64 / n as f64,
     }
-}
-
-/// Least-squares slope of `ln y` against `ln x`: the measured growth
-/// exponent of `y ~ x^slope`.
-fn loglog_slope(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    let (mut mx, mut my) = (0.0, 0.0);
-    for &(x, y) in points {
-        mx += x.ln();
-        my += y.ln();
-    }
-    mx /= n;
-    my /= n;
-    let (mut cov, mut var) = (0.0, 0.0);
-    for &(x, y) in points {
-        cov += (x.ln() - mx) * (y.ln() - my);
-        var += (x.ln() - mx) * (x.ln() - mx);
-    }
-    cov / var
 }
 
 fn main() {

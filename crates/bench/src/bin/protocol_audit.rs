@@ -12,7 +12,7 @@ use ballfit::grouping::group_boundaries;
 use ballfit::iff::apply_iff;
 use ballfit::landmarks::elect_landmarks;
 use ballfit::protocols::{
-    run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol,
+    run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol, UbfProtocol,
 };
 use ballfit::surface::SurfaceBuilder;
 use ballfit::view::NetView;
@@ -49,9 +49,10 @@ fn main() {
     ]];
 
     // 1. UBF: one neighbor-table broadcast per node.
-    let (ubf_flags, ubf) =
-        run_ubf_protocol(&NetView::from_model(&model), &cfg.ubf, &cfg.coordinates, off)
-            .expect("perfect radio quiesces");
+    let view = NetView::from_model(&model);
+    let (nodes, ubf) =
+        run_ubf_protocol(&view, &cfg.coordinates, off).expect("perfect radio quiesces");
+    let ubf_flags = UbfProtocol::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
     table.push(vec![
         "UBF (table exchange)".into(),
         (ubf_flags == central.candidates).to_string(),

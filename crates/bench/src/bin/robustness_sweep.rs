@@ -260,7 +260,7 @@ fn baseline(
     trace: &mut Trace,
 ) -> Baseline {
     let topo = model.topology();
-    let (_, ubf) = run_ubf_protocol(&NetView::from_model(model), &cfg.ubf, &cfg.coordinates, trace)
+    let (_, ubf) = run_ubf_protocol(&NetView::from_model(model), &cfg.coordinates, trace)
         .expect("perfect radio quiesces");
     let candidates = &central.candidates;
     let (sizes, iff) =

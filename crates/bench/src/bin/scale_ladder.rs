@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
-use ballfit_bench::{results_path, validate_and_exit};
+use ballfit_bench::{loglog_slope, results_path, validate_and_exit};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::scenario::Scenario;
 
@@ -161,33 +161,6 @@ fn run_rung(scenario: Scenario, n: usize, deterministic: bool) {
     );
 }
 
-/// Extracts the numeric value following `"key": ` in a one-line JSON row.
-fn field_f64(row: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\": ");
-    let start = row.find(&pat).unwrap_or_else(|| panic!("row missing {key}: {row}")) + pat.len();
-    let rest = &row[start..];
-    let end = rest.find([',', '}']).expect("terminated value");
-    rest[..end].trim().parse().unwrap_or_else(|e| panic!("bad {key} in row: {e}"))
-}
-
-/// Least-squares slope of `ln y` against `ln x`.
-fn loglog_slope(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    let (mut mx, mut my) = (0.0, 0.0);
-    for &(x, y) in points {
-        mx += x.ln();
-        my += y.ln();
-    }
-    mx /= n;
-    my /= n;
-    let (mut cov, mut var) = (0.0, 0.0);
-    for &(x, y) in points {
-        cov += (x.ln() - mx) * (y.ln() - my);
-        var += (x.ln() - mx) * (x.ln() - mx);
-    }
-    cov / var
-}
-
 fn main() {
     let mut smoke = false;
     let mut deterministic = false;
@@ -251,16 +224,23 @@ fn main() {
             );
             let row = String::from_utf8(output.stdout).expect("utf8 row");
             let row = row.trim().to_string();
+            let parsed = ballfit_json::parse(&row).unwrap_or_else(|e| panic!("bad row {row}: {e}"));
+            let field = |key: &str| {
+                parsed
+                    .get(key)
+                    .and_then(ballfit_json::JsonValue::as_f64)
+                    .unwrap_or_else(|| panic!("row missing number {key}: {row}"))
+            };
             eprintln!(
                 "  {} n={n}: degree {:.2}, {} boundary nodes, {:.0} ms, {:.0} MB peak",
                 scenario.name(),
-                field_f64(&row, "mean_degree"),
-                field_f64(&row, "boundary_nodes"),
-                field_f64(&row, "total_wall_ms"),
-                field_f64(&row, "peak_rss_mb"),
+                field("mean_degree"),
+                field("boundary_nodes"),
+                field("total_wall_ms"),
+                field("peak_rss_mb"),
             );
-            wall_points.push((n as f64, field_f64(&row, "total_wall_ms")));
-            rss_points.push((n as f64, field_f64(&row, "peak_rss_mb")));
+            wall_points.push((n as f64, field("total_wall_ms")));
+            rss_points.push((n as f64, field("peak_rss_mb")));
             rows.push(row);
         }
         let (wall_slope, rss_slope) = if deterministic {

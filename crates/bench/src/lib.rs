@@ -174,6 +174,25 @@ pub fn export_mesh(name: &str, mesh: &ballfit_geom::mesh::TriMesh) -> PathBuf {
     path
 }
 
+/// Least-squares slope of `ln y` against `ln x`: the measured growth
+/// exponent of `y ~ x^slope`.
+pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
+    let n = points.len() as f64;
+    let (mut mx, mut my) = (0.0, 0.0);
+    for &(x, y) in points {
+        mx += x.ln();
+        my += y.ln();
+    }
+    mx /= n;
+    my /= n;
+    let (mut cov, mut var) = (0.0, 0.0);
+    for &(x, y) in points {
+        cov += (x.ln() - mx) * (y.ln() - my);
+        var += (x.ln() - mx) * (x.ln() - mx);
+    }
+    cov / var
+}
+
 /// Checks that `src` is exactly one well-formed JSON value (RFC 8259,
 /// plus whitespace) by parsing it with the workspace's JSON codec.
 pub fn validate_json(src: &str) -> Result<(), String> {

@@ -45,7 +45,7 @@ use ballfit_obs::{Trace, TraceEvent};
 use ballfit_par::Parallelism;
 use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent};
 use ballfit_wsn::faults::{Crash, FaultPlan, SplitMix64, Xoshiro256PlusPlus};
-use ballfit_wsn::flood::HardenedFragmentFlood;
+use ballfit_wsn::flood::FragmentFlood;
 use ballfit_wsn::sim::Protocol;
 use ballfit_wsn::NodeId;
 
@@ -410,9 +410,9 @@ fn run_stack(
 
     // Phase 2: hardened IFF flood over the *distributed* candidate set.
     let (ttl, repeats) = (det.iff.ttl, config.flood_repeats);
-    let budget = HardenedFragmentFlood::round_budget(ttl, repeats, plan);
+    let budget = FragmentFlood::round_budget(ttl, repeats, plan);
     let (flood, flood_stats) = exchange(topo, "hardened-iff", budget, plan, trace, |id| {
-        HardenedFragmentFlood::new(candidates[id], ttl, repeats)
+        FragmentFlood::new(candidates[id], ttl, repeats)
     });
     let boundary: Vec<bool> =
         (0..n).map(|i| candidates[i] && flood[i].fragment_size() >= det.iff.theta).collect();

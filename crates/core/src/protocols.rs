@@ -15,7 +15,8 @@
 //! * [`UbfProtocol`] — one round of neighbor-table exchange, then local
 //!   MDS + Unit Ball Fitting per node (Algorithm 1).
 //! * [`ballfit_wsn::flood::FragmentFlood`] — IFF's scoped flooding
-//!   (already hosted in the substrate crate).
+//!   (hosted in the substrate crate); each forward is sent `repeats`
+//!   times, once for the paper's flood.
 //! * [`GroupingProtocol`] — min-ID label flooding over the boundary
 //!   subgraph (boundary grouping, Sec. II-B).
 //! * [`LandmarkElection`] — iterated local-minimum MIS election in the
@@ -24,18 +25,19 @@
 //!
 //! For unreliable radios ([`ballfit_wsn::faults::FaultPlan`]) the module
 //! also provides hardened variants: [`HardenedUbf`] (ack/retransmit table
-//! exchange) and [`HardenedGrouping`] (evidence-tracked label repair),
-//! plus [`ballfit_wsn::flood::HardenedFragmentFlood`] in the substrate
-//! crate. All retransmission follows the exponential [`Backoff`] schedule
-//! with a bounded per-neighbor budget — there is no fixed worst-case
-//! re-broadcast horizon. On a perfect radio each hardened protocol
-//! produces exactly the same outputs as its plain counterpart (and, for
-//! grouping, the same round count).
+//! exchange) and [`HardenedGrouping`] (evidence-tracked label repair);
+//! the flood hardens itself with more repeats. All retransmission
+//! follows the exponential [`Backoff`] schedule with a bounded
+//! per-neighbor budget — there is no fixed worst-case re-broadcast
+//! horizon. On a perfect radio each hardened protocol produces exactly
+//! the same outputs as its plain counterpart (and, for grouping, the same
+//! round count).
 //!
-//! Every execution goes through [`exchange`]: it picks the engine (the
-//! perfect one for a zero-fault plan), wraps the run in the protocol's
-//! trace span and records each node's [`Protocol::resends`] as a
-//! [`TraceEvent::Retransmits`]. One runner per protocol sits on top —
+//! Every execution goes through [`exchange`]: it runs the simulator's
+//! one round loop on the given plan ([`FaultPlan::none`] for a perfect
+//! radio), wraps the run in the protocol's trace span and records each
+//! node's [`Protocol::resends`] as a [`TraceEvent::Retransmits`]. One
+//! runner per protocol sits on top —
 //! [`run_ubf_protocol`], [`run_hardened_ubf`], [`run_iff_protocol`],
 //! [`run_hardened_iff`], [`run_grouping_protocol`],
 //! [`run_hardened_grouping`], [`run_landmark_protocol`] — each fixing
@@ -50,7 +52,7 @@ use ballfit_mds::eigen::{lane_groups, LaneScratch};
 use ballfit_mds::local::{embed_local, embed_local_many, LocalDistances, LocalFrame};
 use ballfit_obs::{MsgBytes, Trace, TraceEvent};
 use ballfit_wsn::faults::FaultPlan;
-use ballfit_wsn::flood::{FragmentFlood, HardenedFragmentFlood};
+use ballfit_wsn::flood::FragmentFlood;
 use ballfit_wsn::sim::{Ctx, Protocol, RunStats, Simulator};
 use ballfit_wsn::{NodeId, Topology};
 
@@ -97,18 +99,17 @@ fn require_quiescent(
 }
 
 /// Runs one protocol exchange on `topo`, with per-node state built by
-/// `init`, for at most `max_rounds` rounds: on the perfect engine when
-/// `plan` injects no faults, on the fault engine otherwise. The run sits
-/// in a `span` of `trace`, which also receives one
-/// [`TraceEvent::Retransmits`] per node with non-zero
-/// [`Protocol::resends`], in node order. Returns the final node states
-/// and the run's stats; judging convergence is the caller's business.
+/// `init`, for at most `max_rounds` rounds on `plan`'s radio
+/// ([`FaultPlan::none`] is the perfect one). The run sits in a `span` of
+/// `trace`, which also receives one [`TraceEvent::Retransmits`] per node
+/// with non-zero [`Protocol::resends`], in node order. Returns the final
+/// node states and the run's stats; judging convergence is the caller's
+/// business.
 ///
 /// # Panics
 ///
-/// Panics if `plan` carries a NaN or out-of-range probability (checked
-/// before the engine is chosen, so a negative loss cannot pass as "no
-/// faults").
+/// Panics if `plan` carries a NaN or out-of-range probability (the
+/// engine checks at entry).
 pub fn exchange<P: Protocol>(
     topo: &Topology,
     span: &'static str,
@@ -117,14 +118,9 @@ pub fn exchange<P: Protocol>(
     trace: &mut Trace,
     init: impl FnMut(NodeId) -> P,
 ) -> (Vec<P>, RunStats) {
-    plan.validate();
     let mut sim = Simulator::new(topo, init);
     trace.open(span);
-    let stats = if plan.is_none() {
-        sim.run_traced(max_rounds, trace)
-    } else {
-        sim.run_with_faults_traced(max_rounds, plan, trace)
-    };
+    let stats = sim.run_with_faults_traced(max_rounds, plan, trace);
     let nodes = sim.into_nodes();
     for (node, state) in nodes.iter().enumerate() {
         let resends = state.resends();
@@ -318,29 +314,28 @@ impl Protocol for UbfProtocol {
     }
 }
 
-/// Runs the distributed UBF phase end to end on a perfect radio inside
-/// a `"ubf"` span, returning the per-node boundary-candidate flags and
-/// the run's stats. The span name is the detector's, so
-/// [`ballfit_obs::summary::summarize`] lands the exchange's
-/// message/byte accounting in the same row as the ball-test counts.
+/// Runs the distributed UBF table exchange on a perfect radio inside a
+/// `"ubf"` span, returning every node's state and the run's stats; it
+/// decides nothing. Callers that want the boundary-candidate flags pass
+/// the states to [`UbfProtocol::decide_all`]. The span name is the
+/// detector's, so [`ballfit_obs::summary::summarize`] lands the
+/// exchange's message/byte accounting in the same row as the ball-test
+/// counts.
 ///
 /// # Errors
 ///
 /// [`ConvergenceFailure`] if the exchange does not quiesce within 4
-/// rounds (cannot happen on a perfect radio; returning the flags anyway
-/// would silently report truncated state).
+/// rounds (cannot happen on a perfect radio; returning the states anyway
+/// would silently report truncated tables).
 pub fn run_ubf_protocol(
     view: &NetView<'_>,
-    cfg: &UbfConfig,
     source: &CoordinateSource,
     trace: &mut Trace,
-) -> Result<(Vec<bool>, RunStats), ConvergenceFailure> {
+) -> Result<(Vec<UbfProtocol>, RunStats), ConvergenceFailure> {
     let states = UbfProtocol::for_view(view, source);
     let (nodes, stats) =
         exchange(view.topology(), "ubf", 4, &FaultPlan::none(), trace, |id| states[id].clone());
-    let stats = require_quiescent(stats, "ubf")?;
-    let flags = UbfProtocol::decide_all(&nodes, view.radio_range(), cfg, source);
-    Ok((flags, stats))
+    Ok((nodes, require_quiescent(stats, "ubf")?))
 }
 
 /// Messages of the hardened UBF exchange.
@@ -542,9 +537,9 @@ pub fn run_hardened_ubf(
 }
 
 /// Runs IFF's scoped fragment flood over `candidates` with TTL `ttl` on
-/// a perfect radio inside an `"iff"` span; returns each node's fragment
-/// size (distinct candidates within `ttl` hops, itself included; 0 for
-/// non-candidates) and the run's stats.
+/// a perfect radio inside an `"iff"` span, each forward sent once;
+/// returns each node's fragment size (distinct candidates within `ttl`
+/// hops, itself included; 0 for non-candidates) and the run's stats.
 ///
 /// # Errors
 ///
@@ -557,21 +552,21 @@ pub fn run_iff_protocol(
     trace: &mut Trace,
 ) -> Result<(Vec<usize>, RunStats), ConvergenceFailure> {
     let (nodes, stats) = exchange(topo, "iff", ttl as usize + 2, &FaultPlan::none(), trace, |id| {
-        FragmentFlood::new(candidates[id], ttl)
+        FragmentFlood::new(candidates[id], ttl, 1)
     });
     let stats = require_quiescent(stats, "iff")?;
     Ok((nodes.iter().map(FragmentFlood::fragment_size).collect(), stats))
 }
 
-/// Runs the hardened fragment flood (every forward sent `repeats`
-/// times) on `plan`'s radio inside a `"hardened-iff"` span; outputs as
-/// for [`run_iff_protocol`]. With `repeats = 1` on a perfect radio it
-/// sends exactly the plain flood's messages.
+/// Runs the fragment flood with every forward sent `repeats` times on
+/// `plan`'s radio inside a `"hardened-iff"` span; outputs as for
+/// [`run_iff_protocol`]. With `repeats = 1` on a perfect radio it sends
+/// exactly [`run_iff_protocol`]'s messages.
 ///
 /// # Errors
 ///
 /// [`ConvergenceFailure`] if the flood does not quiesce within
-/// [`HardenedFragmentFlood::round_budget`].
+/// [`FragmentFlood::round_budget`].
 pub fn run_hardened_iff(
     topo: &Topology,
     candidates: &[bool],
@@ -580,12 +575,12 @@ pub fn run_hardened_iff(
     plan: &FaultPlan,
     trace: &mut Trace,
 ) -> Result<(Vec<usize>, RunStats), ConvergenceFailure> {
-    let budget = HardenedFragmentFlood::round_budget(ttl, repeats, plan);
+    let budget = FragmentFlood::round_budget(ttl, repeats, plan);
     let (nodes, stats) = exchange(topo, "hardened-iff", budget, plan, trace, |id| {
-        HardenedFragmentFlood::new(candidates[id], ttl, repeats)
+        FragmentFlood::new(candidates[id], ttl, repeats)
     });
     let stats = require_quiescent(stats, "iff")?;
-    Ok((nodes.iter().map(HardenedFragmentFlood::fragment_size).collect(), stats))
+    Ok((nodes.iter().map(FragmentFlood::fragment_size).collect(), stats))
 }
 
 /// Min-ID label flooding over the boundary subgraph: after quiescence,
@@ -1153,13 +1148,11 @@ mod tests {
         let cfg = DetectorConfig::paper(10, 3);
         let detector = BoundaryDetector::new(cfg);
         let central = detector.detect(&model);
-        let (distributed, stats) = run_ubf_protocol(
-            &NetView::from_model(&model),
-            &cfg.ubf,
-            &cfg.coordinates,
-            &mut Trace::disabled(),
-        )
-        .expect("perfect radio quiesces");
+        let view = NetView::from_model(&model);
+        let (nodes, stats) = run_ubf_protocol(&view, &cfg.coordinates, &mut Trace::disabled())
+            .expect("perfect radio quiesces");
+        let distributed =
+            UbfProtocol::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
         assert_eq!(distributed, central.candidates, "UBF protocol diverged");
         // One broadcast per node: 2·|E| point-to-point messages.
         assert_eq!(stats.messages, 2 * model.topology().edge_count() as u64);
@@ -1269,9 +1262,10 @@ mod tests {
         let model = model();
         let view = NetView::from_model(&model);
         let cfg = DetectorConfig::paper(10, 3);
-        let (plain, plain_stats) =
-            run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut Trace::disabled())
+        let (nodes, plain_stats) =
+            run_ubf_protocol(&view, &cfg.coordinates, &mut Trace::disabled())
                 .expect("plain quiesces");
+        let plain = UbfProtocol::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
         let (hardened, hardened_stats) = run_hardened_ubf(
             &view,
             &cfg.ubf,
@@ -1392,9 +1386,12 @@ mod tests {
         let central = BoundaryDetector::new(cfg).detect(&model);
         let (ubf, source, ttl) = (&cfg.ubf, &cfg.coordinates, cfg.iff.ttl);
         let backoff = Backoff::default();
-        // The hardened runners and the election run on the fault engine.
+        // The hardened runners and the election run on a faulty radio.
         let lossy = FaultPlan::lossy(5, 0.1).with_max_delay(1);
-        assert_inert("ubf", n, |t| run_ubf_protocol(&view, ubf, source, t));
+        assert_inert("ubf", n, |t| {
+            let (nodes, stats) = run_ubf_protocol(&view, source, t)?;
+            Ok((UbfProtocol::decide_all(&nodes, view.radio_range(), ubf, source), stats))
+        });
         assert_inert("hardened-ubf", n, |t| {
             run_hardened_ubf(&view, ubf, source, backoff, &lossy, t)
         });
@@ -1412,13 +1409,12 @@ mod tests {
         });
     }
 
-    /// `is_none()` reads a negative loss as "no faults"; `exchange`
-    /// must reject the plan before that picks the perfect engine.
+    /// A negative loss draws nothing per message, as a perfect radio
+    /// would; the engine must still reject the plan.
     #[test]
     #[should_panic(expected = "loss must be in [0, 1]")]
-    fn exchange_rejects_an_invalid_plan_before_choosing_the_engine() {
+    fn exchange_rejects_an_invalid_plan() {
         let plan = FaultPlan::lossy(0, -0.5);
-        assert!(plan.is_none());
         exchange(&ring(4), "grouping", 8, &plan, &mut Trace::disabled(), |id| {
             GroupingProtocol::new(id, true)
         });

@@ -5,7 +5,7 @@
 //! leaves, drifts) but deliberately knows nothing about geometry; joins
 //! need a position and drift-moves must stay inside the deployment volume.
 //! [`ChurnDriver`] closes that gap for a generated
-//! [`NetworkModel`](crate::model::NetworkModel): it owns the scenario's
+//! [`NetworkModel`]: it owns the scenario's
 //! SDF solid, samples join positions by the same rejection discipline as
 //! initial generation ([`crate::sampler::sample_interior`]), and clamps
 //! drift targets back inside the solid — all seeded, so a `(plan,

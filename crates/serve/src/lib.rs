@@ -39,8 +39,8 @@ pub mod wire;
 pub use service::{Instance, Service};
 pub use wire::{
     encode_request, encode_response, parse_request, CreateSource, FaultKnobs, MeshRow, QueryKind,
-    ServeError, ServeRequest, ServeResponse, WireBackend, WireCheckpoint, WireConfig, WireDetector,
-    WireEvent, WireScene,
+    ServeError, ServeRequest, ServeResponse, WireBackend, WireCheckpoint, WireConfig, WireEvent,
+    WireScene,
 };
 
 use ballfit_par::Parallelism;

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use ballfit::chaos::{epoch_plan, run_epoch, ChaosConfig, DetectionOutcome};
-use ballfit::incremental::{DetectorCheckpoint, IncrementalDetector};
+use ballfit::incremental::IncrementalDetector;
 use ballfit::surface::SurfaceBuilder;
 use ballfit::view::NetView;
 use ballfit_geom::Vec3;
@@ -37,7 +37,7 @@ use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent};
 
 use crate::wire::{
     CreateSource, FaultKnobs, MeshRow, QueryKind, ServeError, ServeRequest, ServeResponse,
-    WireBackend, WireCheckpoint, WireConfig, WireDetector, WireEvent,
+    WireBackend, WireCheckpoint, WireConfig, WireEvent,
 };
 
 /// Boundary/group view computed by a non-reference backend. The UBF
@@ -325,7 +325,6 @@ fn query_instance(inst: &Instance, id: &str, what: QueryKind) -> ServeResponse {
 }
 
 fn checkpoint_instance(inst: &Instance, id: &str) -> ServeResponse {
-    let det = inst.detector.checkpoint();
     ServeResponse::CheckpointTaken {
         id: id.to_string(),
         checkpoint: WireCheckpoint {
@@ -333,14 +332,7 @@ fn checkpoint_instance(inst: &Instance, id: &str) -> ServeResponse {
             injects: inst.injects,
             config: inst.config,
             snapshot: inst.dynamic.snapshot(),
-            detector: WireDetector {
-                candidates: det.candidates,
-                degenerate: det.degenerate,
-                balls: det.balls,
-                fragments: det.fragments,
-                boundary: det.boundary,
-                groups: det.groups,
-            },
+            detector: Box::new(inst.detector.checkpoint()),
         },
     }
 }
@@ -374,16 +366,7 @@ fn restore_instance(cp: &WireCheckpoint) -> Result<Instance, ServeError> {
         }
     }
     let dynamic = DynamicTopology::restore(&cp.snapshot);
-    let checkpoint = DetectorCheckpoint {
-        config: cp.config.to_detector(),
-        candidates: det.candidates.clone(),
-        degenerate: det.degenerate.clone(),
-        balls: det.balls.clone(),
-        fragments: det.fragments.clone(),
-        boundary: det.boundary.clone(),
-        groups: det.groups.clone(),
-    };
-    let detector = IncrementalDetector::restore(&checkpoint, Parallelism::sequential());
+    let detector = IncrementalDetector::restore(det, Parallelism::sequential());
     let mut inst = Instance {
         config: cp.config,
         dynamic,

@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+use ballfit::config::DetectorConfig;
+use ballfit::incremental::DetectorCheckpoint;
 use ballfit_geom::Vec3;
 use ballfit_json::{arr, obj, JsonValue};
 use ballfit_obs::summary::ProtocolSummary;
@@ -233,25 +235,6 @@ impl Default for FaultKnobs {
     }
 }
 
-/// A serve instance's detector state (the wire spelling of
-/// [`ballfit::incremental::DetectorCheckpoint`], minus the config —
-/// carried separately as a [`WireConfig`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireDetector {
-    /// Per-slot UBF candidate flags.
-    pub candidates: Vec<bool>,
-    /// Per-slot degenerate-neighborhood flags.
-    pub degenerate: Vec<bool>,
-    /// Per-slot candidate-ball counts.
-    pub balls: Vec<u64>,
-    /// Per-slot IFF fragment sizes.
-    pub fragments: Vec<usize>,
-    /// Per-slot boundary flags.
-    pub boundary: Vec<bool>,
-    /// Boundary groups, canonical order.
-    pub groups: Vec<Vec<usize>>,
-}
-
 /// Everything a `checkpoint` response carries and a `restore` request
 /// needs: config, topology, detector state, and the per-instance
 /// epoch/inject counters that keep replayed fault streams aligned.
@@ -265,8 +248,10 @@ pub struct WireCheckpoint {
     pub config: WireConfig,
     /// The topology snapshot.
     pub snapshot: TopologySnapshot,
-    /// The detector state.
-    pub detector: WireDetector,
+    /// The detector state, boxed because its config outweighs the rest
+    /// of the checkpoint. The wire does not carry that config: it is
+    /// always `config.to_detector()`, which the parser fills in.
+    pub detector: Box<DetectorCheckpoint>,
 }
 
 /// One request line.
@@ -769,7 +754,7 @@ fn parse_snapshot(obj: &JsonValue) -> Parsed<TopologySnapshot> {
     Ok(TopologySnapshot { positions, alive, range })
 }
 
-fn parse_detector(obj: &JsonValue) -> Parsed<WireDetector> {
+fn parse_detector(obj: &JsonValue, config: DetectorConfig) -> Parsed<DetectorCheckpoint> {
     let det = obj.get("detector").ok_or_else(|| bad("restore needs 'detector'"))?;
     if det.as_obj().is_none() {
         return Err(bad("'detector' must be an object"));
@@ -791,7 +776,8 @@ fn parse_detector(obj: &JsonValue) -> Parsed<WireDetector> {
                 .collect::<Parsed<Vec<usize>>>()
         })
         .collect::<Parsed<Vec<Vec<usize>>>>()?;
-    Ok(WireDetector {
+    Ok(DetectorCheckpoint {
+        config,
         candidates: parse_list(det, "candidates", JsonValue::as_bool, "booleans")?,
         degenerate: parse_list(det, "degenerate", JsonValue::as_bool, "booleans")?,
         balls: parse_list(det, "balls", JsonValue::as_u64, "integers")?,
@@ -803,17 +789,18 @@ fn parse_detector(obj: &JsonValue) -> Parsed<WireDetector> {
 
 fn parse_restore(obj: &JsonValue) -> Parsed<ServeRequest> {
     let id = get_str(obj, "id")?;
+    let config = parse_config(obj)?;
     let checkpoint = WireCheckpoint {
         epoch: get_u64_or(obj, "epoch", 0)?,
         injects: get_u64_or(obj, "injects", 0)?,
-        config: parse_config(obj)?,
+        config,
         snapshot: parse_snapshot(obj)?,
-        detector: parse_detector(obj)?,
+        detector: Box::new(parse_detector(obj, config.to_detector())?),
     };
     Ok(ServeRequest::Restore { id, checkpoint })
 }
 
-/// The largest `max_delay` an `inject` accepts. The fault engine's round
+/// The largest `max_delay` an `inject` accepts. The simulator's round
 /// budget grows with the delay and every round walks the whole tenant, so
 /// one inject holds its worker for time linear in `max_delay`.
 const MAX_INJECT_DELAY: u32 = 64;
@@ -1287,23 +1274,25 @@ mod tests {
     #[test]
     fn canonical_lines_are_pinned_byte_for_byte() {
         let p = || "p".to_string();
+        let config = WireConfig { error: Some(0), ttl: Some(3), ..WireConfig::default() };
         let checkpoint = WireCheckpoint {
             epoch: 4,
             injects: 2,
-            config: WireConfig { error: Some(0), ttl: Some(3), ..WireConfig::default() },
+            config,
             snapshot: TopologySnapshot {
                 positions: vec![Vec3::ZERO, Vec3::new(1.0, -0.5, 0.25)],
                 alive: vec![true, false],
                 range: 1.25,
             },
-            detector: WireDetector {
+            detector: Box::new(DetectorCheckpoint {
+                config: config.to_detector(),
                 candidates: vec![true, false],
                 degenerate: vec![false, true],
                 balls: vec![12, 0],
                 fragments: vec![1, 0],
                 boundary: vec![true, false],
                 groups: vec![vec![0], vec![]],
-            },
+            }),
         };
         let requests = [
             ServeRequest::Create {

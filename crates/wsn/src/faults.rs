@@ -32,9 +32,8 @@
 //!   its pre-crash state; a node that was down before the run started is
 //!   started (`on_start`) at its recovery round instead.
 //!
-//! [`FaultPlan::none`] injects nothing, and the engine's zero-fault path
-//! is regression-tested to be byte-identical to the perfect-delivery
-//! engine.
+//! [`FaultPlan::none`] injects nothing: it is the perfect radio, and
+//! [`crate::sim::Simulator::run`] runs the engine with it.
 
 use crate::topology::NodeId;
 
@@ -108,8 +107,7 @@ pub struct Crash {
 }
 
 /// Counters of injected faults, reported in
-/// [`crate::sim::RunStats::faults`]. All zero on the perfect-delivery
-/// path.
+/// [`crate::sim::RunStats::faults`]. All zero under [`FaultPlan::none`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FaultCounts {
     /// Transmissions dropped by link loss.
@@ -148,8 +146,8 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// The perfect radio: nothing is dropped, duplicated, delayed, or
-    /// crashed. [`crate::sim::Simulator::run_with_faults`] with this plan
-    /// is byte-identical to [`crate::sim::Simulator::run`].
+    /// crashed. [`crate::sim::Simulator::run`] is
+    /// [`crate::sim::Simulator::run_with_faults`] with this plan.
     pub fn none() -> Self {
         FaultPlan { seed: 0, loss: 0.0, duplication: 0.0, max_delay: 0, crashes: Vec::new() }
     }
@@ -209,15 +207,6 @@ impl FaultPlan {
             self.crashes.push(Crash { node: pool[i], down_at, up_at });
         }
         self
-    }
-
-    /// `true` when the plan injects nothing at all (the engine's
-    /// perfect-delivery special case).
-    pub fn is_none(&self) -> bool {
-        self.loss <= 0.0
-            && self.duplication <= 0.0
-            && self.max_delay == 0
-            && self.crashes.is_empty()
     }
 
     /// Panics (at engine entry, not inside any protocol handler) if a
@@ -332,15 +321,11 @@ mod tests {
     #[test]
     fn none_plan_is_none_and_valid() {
         let plan = FaultPlan::none();
-        assert!(plan.is_none());
         plan.validate();
         assert_eq!(plan.schedule(), vec![]);
         assert_eq!(plan.last_event_round(), None);
         assert_eq!(plan.round_slack(), 0);
         assert!(plan.link_loss(0, 1) <= 0.0);
-        assert!(!FaultPlan::lossy(1, 0.1).is_none());
-        assert!(!FaultPlan::none().with_max_delay(2).is_none());
-        assert!(!FaultPlan::none().with_duplication(0.5).is_none());
     }
 
     #[test]

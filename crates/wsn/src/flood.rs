@@ -7,14 +7,15 @@
 //!
 //! Two executions are provided:
 //! * [`FragmentFlood`] — a genuine localized protocol for the round engine
-//!   of [`crate::sim`], with full message accounting;
+//!   of [`crate::sim`], with full message accounting; at one repeat it is
+//!   the paper's flood, and more repeats harden it for a lossy radio;
 //! * [`fragment_sizes`] — the centralized equivalent (depth-limited BFS per
 //!   member), used by large experiment sweeps.
 //!
 //! Integration tests in the `ballfit` crate assert the two agree.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::bfs::count_within;
 use crate::faults::FaultPlan;
@@ -40,61 +41,17 @@ pub type FloodMsg = (NodeId, u32);
 
 /// Localized scoped-flooding protocol (one instance per node).
 ///
-/// Members originate a token with the configured TTL; every member forwards
-/// each *new* origin it sees with a decremented TTL. After quiescence,
-/// [`FragmentFlood::fragment_size`] returns the number of distinct origins
-/// seen (including the node's own), matching [`fragment_sizes`].
-#[derive(Debug, Clone)]
-pub struct FragmentFlood {
-    member: bool,
-    ttl: u32,
-    seen: BTreeSet<NodeId>,
-}
-
-impl FragmentFlood {
-    /// Creates the per-node state. `member` marks boundary candidates;
-    /// `ttl` is the paper's `T`.
-    pub fn new(member: bool, ttl: u32) -> Self {
-        FragmentFlood { member, ttl, seen: BTreeSet::new() }
-    }
-
-    /// Distinct origins seen, counting the node itself; 0 for non-members.
-    pub fn fragment_size(&self) -> usize {
-        if self.member {
-            self.seen.len()
-        } else {
-            0
-        }
-    }
-}
-
-impl Protocol for FragmentFlood {
-    type Msg = FloodMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        if !self.member {
-            return;
-        }
-        let me = ctx.node();
-        self.seen.insert(me);
-        if self.ttl > 0 {
-            ctx.broadcast((me, self.ttl - 1));
-        }
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: &Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-        if !self.member {
-            return; // non-boundary nodes do not forward (paper, Sec. II-B)
-        }
-        let (origin, ttl) = *msg;
-        if self.seen.insert(origin) && ttl > 0 {
-            ctx.broadcast((origin, ttl - 1));
-        }
-    }
-}
-
-/// Loss-tolerant variant of [`FragmentFlood`] for unreliable radios
-/// ([`crate::faults::FaultPlan`]), hardened two ways:
+/// Members originate a token with the configured TTL; every member
+/// forwards an origin with a decremented TTL when it first sees it, and
+/// again if a copy with a larger TTL arrives later.
+/// After quiescence, [`FragmentFlood::fragment_size`] returns the number
+/// of distinct origins seen (including the node's own), matching
+/// [`fragment_sizes`]. With `repeats = 1` on a perfect radio this is the
+/// paper's IFF flood: synchronous flooding delivers each origin's best
+/// TTL first, so every member forwards every origin it sees exactly once.
+///
+/// For unreliable radios ([`crate::faults::FaultPlan`]) it is hardened two
+/// ways:
 ///
 /// * **Re-broadcast** — every forward is repeated `repeats − 1` more
 ///   times on an exponentially spaced schedule (gaps of 1, 2, 4, …
@@ -110,12 +67,9 @@ impl Protocol for FragmentFlood {
 ///   semantics of [`fragment_sizes`], like min-label flooding does for
 ///   grouping.
 ///
-/// Duplicated deliveries are idempotent (max of a max). With
-/// `repeats = 1` on a perfect radio the message schedule is identical to
-/// [`FragmentFlood`]: synchronous flooding always delivers the best TTL
-/// first, so no re-forward ever triggers.
+/// Duplicated deliveries are idempotent (max of a max).
 #[derive(Debug, Clone)]
-pub struct HardenedFragmentFlood {
+pub struct FragmentFlood {
     member: bool,
     ttl: u32,
     repeats: u32,
@@ -124,7 +78,7 @@ pub struct HardenedFragmentFlood {
     /// Forwards still owed re-broadcasts, with their backoff state.
     pending: Vec<PendingRepeat>,
     /// Forwards triggered by a *better* copy of an already-seen origin —
-    /// the work the max-TTL hardening does on top of the plain flood.
+    /// the work the max-TTL hardening does on top of the paper's flood.
     reforwards: u64,
 }
 
@@ -144,11 +98,12 @@ struct PendingRepeat {
     gap: u32,
 }
 
-impl HardenedFragmentFlood {
-    /// Creates the per-node state; `repeats ≥ 1` is the number of times
-    /// each forward is transmitted (1 = no hardening).
+impl FragmentFlood {
+    /// Creates the per-node state. `member` marks boundary candidates,
+    /// `ttl` is the paper's `T`, and `repeats ≥ 1` is the number of times
+    /// each forward is transmitted (1 = the paper's flood).
     pub fn new(member: bool, ttl: u32, repeats: u32) -> Self {
-        HardenedFragmentFlood {
+        FragmentFlood {
             member,
             ttl,
             repeats: repeats.max(1),
@@ -175,7 +130,7 @@ impl HardenedFragmentFlood {
         self.reforwards
     }
 
-    /// Hang-stop round budget of a hardened flood on `plan`'s radio:
+    /// Hang-stop round budget of a flood with `repeats` on `plan`'s radio:
     /// every repeat schedule at its capped gap, plus the TTL, plus the
     /// plan's crash and delay slack.
     pub fn round_budget(ttl: u32, repeats: u32, plan: &FaultPlan) -> usize {
@@ -201,7 +156,7 @@ impl HardenedFragmentFlood {
     }
 }
 
-impl Protocol for HardenedFragmentFlood {
+impl Protocol for FragmentFlood {
     type Msg = FloodMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
@@ -217,7 +172,7 @@ impl Protocol for HardenedFragmentFlood {
 
     fn on_message(&mut self, _from: NodeId, msg: &Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
         if !self.member {
-            return;
+            return; // non-boundary nodes do not forward (paper, Sec. II-B)
         }
         let (origin, ttl) = *msg;
         let known = match self.best.entry(origin) {
@@ -240,6 +195,9 @@ impl Protocol for HardenedFragmentFlood {
     }
 
     fn on_round_end(&mut self, _round: usize, ctx: &mut Ctx<'_, Self::Msg>) {
+        if self.pending.is_empty() {
+            return;
+        }
         let mut due = std::mem::take(&mut self.pending);
         for mut rep in due.drain(..) {
             if rep.cooldown > 0 {
@@ -269,7 +227,7 @@ mod tests {
     use crate::sim::Simulator;
 
     fn run_flood(topo: &Topology, members: &[bool], ttl: u32) -> (Vec<usize>, u64) {
-        let mut sim = Simulator::new(topo, |id| FragmentFlood::new(members[id], ttl));
+        let mut sim = Simulator::new(topo, |id| FragmentFlood::new(members[id], ttl, 1));
         let stats = sim.run(ttl as usize + 2);
         assert!(stats.quiescent, "flood must terminate within TTL rounds");
         let sizes = (0..topo.len()).map(|i| sim.node(i).fragment_size()).collect();
@@ -330,9 +288,7 @@ mod tests {
             (3, [3, 3, 3, 0, 1], 16),
         ];
         for (ttl, sizes, messages) in pinned {
-            assert_eq!(run_flood(&topo, &members, ttl), (sizes.to_vec(), messages), "ttl={ttl}");
-            let mut sim =
-                Simulator::new(&topo, |id| HardenedFragmentFlood::new(members[id], ttl, 1));
+            let mut sim = Simulator::new(&topo, |id| FragmentFlood::new(members[id], ttl, 1));
             let stats = sim.run(ttl as usize + 2);
             assert!(stats.quiescent);
             let got: Vec<usize> = (0..topo.len()).map(|i| sim.node(i).fragment_size()).collect();
@@ -351,15 +307,15 @@ mod tests {
         let central = fragment_sizes(&topo, ttl, |n| members[n]);
         let plan = FaultPlan::lossy(42, 0.25).with_duplication(0.1).with_max_delay(1);
 
-        // The plain flood loses origins under this radio…
-        let mut plain = Simulator::new(&topo, |id| FragmentFlood::new(members[id], ttl));
+        // The paper's flood (one repeat) loses origins under this radio…
+        let mut plain = Simulator::new(&topo, |id| FragmentFlood::new(members[id], ttl, 1));
         plain.run_with_faults(60, &plan);
         let plain_sizes: Vec<usize> =
             (0..topo.len()).map(|i| plain.node(i).fragment_size()).collect();
         assert_ne!(plain_sizes, central, "loss too mild to demonstrate hardening");
 
-        // …while the hardened flood still matches the centralized answer.
-        let mut sim = Simulator::new(&topo, |id| HardenedFragmentFlood::new(members[id], ttl, 5));
+        // …while five repeats still match the centralized answer.
+        let mut sim = Simulator::new(&topo, |id| FragmentFlood::new(members[id], ttl, 5));
         let stats = sim.run_with_faults(120, &plan);
         assert!(stats.quiescent);
         let sizes: Vec<usize> = (0..topo.len()).map(|i| sim.node(i).fragment_size()).collect();

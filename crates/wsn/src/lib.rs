@@ -18,11 +18,13 @@
 //!   messages between radio neighbors round by round and accounts every
 //!   message sent, which lets the test-suite verify both the *outputs* and
 //!   the *locality/message-complexity claims* of the paper (e.g. IFF's
-//!   `O(1)` scoped flooding).
+//!   `O(1)` scoped flooding, run by [`flood::FragmentFlood`]).
 //! * [`faults`] — a deterministic unreliable-radio model
 //!   ([`faults::FaultPlan`]: per-link loss, duplication, bounded delay,
-//!   scheduled crashes) applied by [`sim::Simulator::run_with_faults`];
-//!   the perfect radio is the zero-fault special case.
+//!   scheduled crashes) applied by [`sim::Simulator::run_with_faults`].
+//!   The engine has one round loop, and the perfect radio is
+//!   [`faults::FaultPlan::none`]: [`sim::Simulator::run`] calls the loop
+//!   with it.
 //! * [`churn`] — a deterministic dynamic-network model
 //!   ([`churn::ChurnPlan`]: seeded per-epoch join/leave/drift schedules)
 //!   plus [`churn::DynamicTopology`], which maintains connectivity under

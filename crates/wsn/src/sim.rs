@@ -12,22 +12,29 @@
 //! * Every message is counted, so message-complexity claims (IFF's `O(1)`
 //!   scoped flooding, CDM's path probes) are measurable.
 //!
+//! There is one round loop, [`Simulator::run_with_faults_traced`]: every
+//! transmission passes through a [`FaultPlan`], and the perfect radio is
+//! [`FaultPlan::none`]. [`Simulator::run`] and [`Simulator::run_traced`]
+//! are that plan, so code that never injects faults runs a radio without
+//! naming one.
+//!
 //! Delivery order within a round is deterministic (sorted by destination,
-//! then source, then send order), so protocol runs are reproducible. Both
-//! engines reach that order with a stable counting pass on `(to, from)`,
-//! O(n + m) for a round of m messages on n nodes. The fault engine keeps
-//! pending deliveries grouped by due round, each group in send order, so
-//! a round takes its group without scanning later ones; the groups live
-//! in a map keyed by round, so their memory follows the messages in
-//! flight, never `max_delay`.
+//! then source, then send order), so protocol runs are reproducible. The
+//! engine reaches that order with a stable counting pass on `(to, from)`,
+//! O(n + m) for a round of m messages on n nodes. Pending deliveries are
+//! grouped by due round, each group in send order, so a round takes its
+//! group without scanning later ones; the groups live in a map keyed by
+//! round, so their memory follows the messages in flight, never
+//! `max_delay`.
 //!
 //! Every run can additionally emit a deterministic structured trace
 //! ([`Simulator::run_traced`] / [`Simulator::run_with_faults_traced`]):
 //! a `"round"` span per executed round with per-round message/byte and
 //! fault-attribution accounting, recorded in logical time only. The
 //! plain entry points are the [`Trace::disabled`] special case, so the
-//! traced and untraced engines are literally the same code.
+//! traced and untraced runs are literally the same code.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 pub use ballfit_obs::MsgBytes;
@@ -143,7 +150,7 @@ pub struct RunStats {
     pub bytes: u64,
     /// `true` if the run stopped because no messages were in flight.
     pub quiescent: bool,
-    /// Injected-fault counters; all zero on the perfect-delivery path.
+    /// Injected-fault counters; all zero on the perfect radio.
     pub faults: FaultCounts,
     /// Messages sent per round: index 0 is the start phase (`on_start`
     /// sends), index `r ≥ 1` the sends of executed round `r`. Length is
@@ -166,7 +173,7 @@ fn bucket_add(buckets: &mut Vec<u64>, index: usize, delta: u64) {
 
 /// Normalizes the per-round vectors to `rounds + 1` buckets, emits the
 /// end-of-run [`TraceEvent::Convergence`] record and assembles the
-/// stats. Shared tail of both engines.
+/// stats. Shared by both exits of the round loop.
 #[allow(clippy::too_many_arguments)]
 fn finish_run(
     trace: &mut Trace,
@@ -240,7 +247,7 @@ impl DeliveryOrder {
 /// A round's sends as `(from, to, msg)`, in send order.
 type Batch<M> = Vec<(NodeId, NodeId, M)>;
 
-/// The fault engine's pending deliveries, grouped by due round, each
+/// The engine's pending deliveries, grouped by due round, each
 /// group in send order. Only rounds with a message in flight have a
 /// group, so memory follows the in-flight messages whatever the plan's
 /// `max_delay`; drained groups keep their allocation for reuse.
@@ -267,6 +274,20 @@ impl<M> DueGroups<M> {
             .entry(due)
             .or_insert_with(|| spare.pop().unwrap_or_default())
             .push((from, to, msg));
+    }
+
+    /// Appends all of `batch`, in order, as deliveries due after round
+    /// `due`, leaving `batch` empty. A new group takes `batch`'s buffer.
+    fn append(&mut self, due: usize, batch: &mut Batch<M>) {
+        if batch.is_empty() {
+            return;
+        }
+        match self.groups.entry(due) {
+            Entry::Occupied(mut group) => group.get_mut().append(batch),
+            Entry::Vacant(slot) => {
+                slot.insert(std::mem::replace(batch, self.spare.pop().unwrap_or_default()));
+            }
+        }
     }
 
     /// Takes the deliveries of round `round` (those due at an earlier
@@ -301,9 +322,10 @@ impl<'t, P: Protocol> Simulator<'t, P> {
         Simulator { topo, nodes }
     }
 
-    /// Runs the protocol until quiescence or `max_rounds`, whichever comes
-    /// first. Returns run statistics; inspect per-node outcomes via
-    /// [`Simulator::node`] / [`Simulator::into_nodes`].
+    /// Runs the protocol on the perfect radio ([`FaultPlan::none`]) until
+    /// quiescence or `max_rounds`, whichever comes first. Returns run
+    /// statistics; inspect per-node outcomes via [`Simulator::node`] /
+    /// [`Simulator::into_nodes`].
     pub fn run(&mut self, max_rounds: usize) -> RunStats {
         self.run_traced(max_rounds, &mut Trace::disabled())
     }
@@ -311,113 +333,10 @@ impl<'t, P: Protocol> Simulator<'t, P> {
     /// [`Simulator::run`] with structured tracing: emits the network
     /// size, one `"round"` span per executed round (round 0 is the
     /// start phase) with message/byte/delivery accounting, and an
-    /// end-of-run convergence record. With [`Trace::disabled`] this *is*
-    /// `run` — the plain entry point delegates here.
+    /// end-of-run convergence record. This is
+    /// [`Simulator::run_with_faults_traced`] with [`FaultPlan::none`].
     pub fn run_traced(&mut self, max_rounds: usize, trace: &mut Trace) -> RunStats {
-        let mut sent: u64 = 0;
-        let mut bytes: u64 = 0;
-        let mut per_round_messages: Vec<u64> = Vec::new();
-        let mut per_round_bytes: Vec<u64> = Vec::new();
-        let mut inflight: Batch<P::Msg> = Vec::new();
-        let mut deliveries: Batch<P::Msg> = Vec::new();
-        let mut order = DeliveryOrder::default();
-        trace.event(TraceEvent::NetSize { nodes: self.nodes.len(), edges: self.topo.edge_count() });
-
-        // Start phase ("round 0" of the accounting).
-        for id in 0..self.nodes.len() {
-            let mut ctx = Ctx {
-                node: id,
-                neighbors: self.topo.neighbors(id),
-                outbox: &mut inflight,
-                sent: &mut sent,
-                bytes: &mut bytes,
-            };
-            self.nodes[id].on_start(&mut ctx);
-        }
-        bucket_add(&mut per_round_messages, 0, sent);
-        bucket_add(&mut per_round_bytes, 0, bytes);
-        trace.open("round");
-        trace.event(TraceEvent::Round {
-            round: 0,
-            sent,
-            bytes,
-            delivered: 0,
-            dropped: 0,
-            duplicated: 0,
-            delayed: 0,
-            crash_lost: 0,
-        });
-        trace.close();
-        let (mut prev_sent, mut prev_bytes) = (sent, bytes);
-
-        let mut rounds = 0;
-        while rounds < max_rounds {
-            if inflight.is_empty() && !self.nodes.iter().any(Protocol::wants_tick) {
-                return finish_run(
-                    trace,
-                    rounds,
-                    sent,
-                    bytes,
-                    true,
-                    FaultCounts::default(),
-                    per_round_messages,
-                    per_round_bytes,
-                );
-            }
-            rounds += 1;
-            // Last round's sends, in the deterministic delivery order.
-            std::mem::swap(&mut inflight, &mut deliveries);
-            let delivered = deliveries.len() as u64;
-            for &i in order.sort(self.nodes.len(), &deliveries) {
-                let (from, to, msg) = &deliveries[i];
-                let mut ctx = Ctx {
-                    node: *to,
-                    neighbors: self.topo.neighbors(*to),
-                    outbox: &mut inflight,
-                    sent: &mut sent,
-                    bytes: &mut bytes,
-                };
-                self.nodes[*to].on_message(*from, msg, &mut ctx);
-            }
-            deliveries.clear();
-            for id in 0..self.nodes.len() {
-                let mut ctx = Ctx {
-                    node: id,
-                    neighbors: self.topo.neighbors(id),
-                    outbox: &mut inflight,
-                    sent: &mut sent,
-                    bytes: &mut bytes,
-                };
-                self.nodes[id].on_round_end(rounds - 1, &mut ctx);
-            }
-            bucket_add(&mut per_round_messages, rounds, sent - prev_sent);
-            bucket_add(&mut per_round_bytes, rounds, bytes - prev_bytes);
-            trace.open("round");
-            trace.event(TraceEvent::Round {
-                round: rounds,
-                sent: sent - prev_sent,
-                bytes: bytes - prev_bytes,
-                delivered,
-                dropped: 0,
-                duplicated: 0,
-                delayed: 0,
-                crash_lost: 0,
-            });
-            trace.close();
-            prev_sent = sent;
-            prev_bytes = bytes;
-        }
-        let quiescent = inflight.is_empty() && !self.nodes.iter().any(Protocol::wants_tick);
-        finish_run(
-            trace,
-            rounds,
-            sent,
-            bytes,
-            quiescent,
-            FaultCounts::default(),
-            per_round_messages,
-            per_round_bytes,
-        )
+        self.run_with_faults_traced(max_rounds, &FaultPlan::none(), trace)
     }
 
     /// Runs the protocol on an unreliable radio described by `plan`: the
@@ -426,10 +345,6 @@ impl<'t, P: Protocol> Simulator<'t, P> {
     /// duplication, bounded extra delay) and nodes crash and recover on
     /// the plan's schedule. See [`crate::faults`] for the exact
     /// semantics.
-    ///
-    /// With [`FaultPlan::none`] this is byte-identical to
-    /// [`Simulator::run`] (regression-tested), so the perfect radio is
-    /// just the zero-fault special case.
     ///
     /// Quiescence additionally requires that no crash event is still
     /// scheduled in the future: a recovery at round `r` can revive work,
@@ -472,8 +387,7 @@ impl<'t, P: Protocol> Simulator<'t, P> {
         let mut alive = vec![true; n];
         let mut started = vec![false; n];
         // Pending deliveries by due round, each group in send order, which
-        // the stable delivery order keeps among equal (to, from) keys,
-        // matching the perfect-delivery engine.
+        // the stable delivery order keeps among equal (to, from) keys.
         let mut pending: DueGroups<P::Msg> = DueGroups::new();
         let mut order = DeliveryOrder::default();
         let mut outbox: Batch<P::Msg> = Vec::new();
@@ -655,7 +569,8 @@ impl<'t, P: Protocol> Simulator<'t, P> {
 /// transmission is dropped with its link's loss probability, otherwise
 /// scheduled at `due_base` plus a uniform `0..=max_delay` extra rounds,
 /// and duplicated (with an independently drawn delay) with the plan's
-/// duplication probability.
+/// duplication probability. A plan without loss, duplication or delay
+/// draws nothing per message, so it moves the whole outbox at once.
 fn flush_outbox<M: Clone>(
     outbox: &mut Batch<M>,
     due_base: usize,
@@ -664,6 +579,10 @@ fn flush_outbox<M: Clone>(
     pending: &mut DueGroups<M>,
     counts: &mut FaultCounts,
 ) {
+    if plan.loss <= 0.0 && plan.duplication <= 0.0 && plan.max_delay == 0 {
+        pending.append(due_base, outbox);
+        return;
+    }
     for (from, to, msg) in outbox.drain(..) {
         let loss = plan.link_loss(from, to);
         if loss > 0.0 && rng.gen_bool(loss) {
@@ -856,33 +775,6 @@ mod tests {
         let stats = sim.run(4);
         assert!(!stats.quiescent, "truncation must not report quiescence");
         assert_eq!(stats.rounds, 4);
-        // The faulty engine agrees on the truncation semantics.
-        let mut sim = Simulator::new(&topo, |_| Ticker { remaining: 10 });
-        let faulty = sim.run_with_faults(4, &FaultPlan::none());
-        assert!(!faulty.quiescent);
-        assert_eq!(faulty.rounds, 4);
-    }
-
-    #[test]
-    fn zero_fault_plan_is_byte_identical_to_perfect_engine() {
-        let topo = Topology::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        // TwoHop exercises broadcasts + multi-round deliveries; Relay
-        // exercises cascading forwards.
-        let mut perfect = Simulator::new(&topo, |_| TwoHop::default());
-        let mut faulty = Simulator::new(&topo, |_| TwoHop::default());
-        let ps = perfect.run(10);
-        let fs = faulty.run_with_faults(10, &FaultPlan::none());
-        assert_eq!(ps, fs, "zero-fault RunStats must be byte-identical");
-        for id in 0..topo.len() {
-            assert_eq!(perfect.node(id).known, faulty.node(id).known, "node {id} state diverged");
-        }
-
-        let mut perfect = Simulator::new(&topo, |_| Relay { seen: false });
-        let mut faulty = Simulator::new(&topo, |_| Relay { seen: false });
-        let ps = perfect.run(100);
-        let fs = faulty.run_with_faults(100, &FaultPlan::none());
-        assert_eq!(ps, fs);
-        assert_eq!(fs.faults, crate::faults::FaultCounts::default());
     }
 
     #[test]
@@ -1049,14 +941,6 @@ mod tests {
             convergence,
             Some((traced_stats.rounds, traced_stats.messages, traced_stats.bytes, true))
         );
-
-        // The zero-fault engine produces the byte-identical trace.
-        let mut fault_trace = Trace::enabled();
-        let mut faulty = Simulator::new(&topo, |_| Relay { seen: false });
-        let faulty_stats = faulty.run_with_faults_traced(100, &FaultPlan::none(), &mut fault_trace);
-        assert_eq!(traced_stats, faulty_stats);
-        assert_eq!(trace.records(), fault_trace.records());
-        assert_eq!(trace.to_jsonl(), fault_trace.to_jsonl());
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Reference engines for the delivery order, used only by tests: the
-//! perfect engine sorts each round's deliveries by `(to, from)` with a
-//! comparison sort, and the fault engine keeps one queue of all pending
-//! deliveries, scans it every round, moves the due ones out with
+//! Reference engines for the delivery order, used only by tests: a
+//! perfect-radio loop that sorts each round's deliveries by `(to, from)`
+//! with a comparison sort, and a fault engine that keeps one queue of all
+//! pending deliveries, scans it every round, moves the due ones out with
 //! `swap_remove` and sorts them by `(to, from, send sequence)`. The tests
 //! below run a recording protocol through these engines and through
-//! [`Simulator`]'s own, and require every delivery, `RunStats` and trace
-//! byte to agree.
+//! [`Simulator`]'s one round loop, and require every delivery, `RunStats`
+//! and trace byte to agree.
 
 use super::*;
 
 impl<P: Protocol> Simulator<'_, P> {
-    /// [`Simulator::run_traced`] with a comparison sort per round.
+    /// [`Simulator::run_traced`] as a loop of its own, with no fault
+    /// layer and a comparison sort per round.
     fn reference_run_traced(&mut self, max_rounds: usize, trace: &mut Trace) -> RunStats {
         let mut sent: u64 = 0;
         let mut bytes: u64 = 0;
@@ -138,7 +139,7 @@ impl<P: Protocol> Simulator<'_, P> {
         let mut started = vec![false; n];
         // Pending deliveries: (due_round, sequence, from, to, msg). The
         // sequence number preserves send order among equal (to, from)
-        // keys, matching the stable sort of the perfect-delivery engine.
+        // keys, matching the stable sort of the perfect-radio reference.
         let mut queue: Vec<(usize, u64, NodeId, NodeId, P::Msg)> = Vec::new();
         let mut seq: u64 = 0;
         let mut outbox: Vec<(NodeId, NodeId, P::Msg)> = Vec::new();
@@ -474,7 +475,7 @@ mod tests {
         (stats, traced.then(|| trace.to_jsonl()), deliveries)
     }
 
-    /// Asserts that the fault engine and its reference agree on `plan`;
+    /// Asserts that the engine and the queue-scan reference agree on `plan`;
     /// returns the run's stats.
     fn assert_fault_engines_agree(
         topo: &Topology,
@@ -517,12 +518,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         for case in 0..24 {
             let topo = random_topology(&mut rng, 2 + case);
-            let ours = record(&topo, 2, true, |sim, trace| sim.run_traced(64, trace));
+            let ours = record(&topo, 2, true, |sim, trace| {
+                sim.run_with_faults_traced(64, &FaultPlan::none(), trace)
+            });
             let reference =
                 record(&topo, 2, true, |sim, trace| sim.reference_run_traced(64, trace));
             assert_eq!(ours, reference, "case {case}");
-            // The zero-fault plan takes the same order through the fault
-            // engine.
+            // The queue scan agrees at the zero-fault plan too.
             assert_fault_engines_agree(&topo, &FaultPlan::none(), 2, true);
         }
     }

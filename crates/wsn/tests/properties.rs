@@ -211,7 +211,7 @@ fn flood_protocol_equivalence() {
         let members = flags(&mut rng, 16);
         let ttl = rng.gen_range(0..4u32);
         let topo = Topology::from_edges(16, &edges);
-        let mut sim = Simulator::new(&topo, |id| FragmentFlood::new(members[id], ttl));
+        let mut sim = Simulator::new(&topo, |id| FragmentFlood::new(members[id], ttl, 1));
         let stats = sim.run(ttl as usize + 2);
         assert!(stats.quiescent, "case {case}");
         let central = fragment_sizes(&topo, ttl, |n| members[n]);

@@ -11,7 +11,10 @@
 #                               atomics, channels, std::thread)
 #                               everywhere but crates/par and
 #                               crates/bench, which carry their own
-#                               clippy.toml
+#                               clippy.toml; then cargo doc with
+#                               RUSTDOCFLAGS="-D warnings", so a
+#                               dangling or redundant intra-doc link
+#                               fails
 #   3. ballfit-lint             the token-level passes that need `impl
 #                               Protocol` scope (locality / panic-safety,
 #                               and the seven *-scope rows of one rule
@@ -109,8 +112,9 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "cargo clippy (deny warnings, clippy.toml bans)"
+step "cargo clippy (deny warnings, clippy.toml bans) and rustdoc (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

@@ -50,8 +50,7 @@ fn pipeline_trace(model: &NetworkModel, par: Parallelism) -> String {
     let view = NetView::from_model(model);
     let detection =
         BoundaryDetector::new(cfg).with_parallelism(par).detect_view_traced(&view, &mut trace);
-    run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut trace)
-        .expect("perfect radio quiesces");
+    run_ubf_protocol(&view, &cfg.coordinates, &mut trace).expect("perfect radio quiesces");
     run_grouping_protocol(model.topology(), &detection.boundary, &mut trace)
         .expect("perfect radio quiesces");
     trace.to_jsonl()
@@ -121,8 +120,7 @@ fn experiments_e15_baseline_counts_match_obs_summary() {
     let mut trace = Trace::enabled();
     let view = NetView::from_model(&model);
 
-    run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, &mut trace)
-        .expect("perfect radio quiesces");
+    run_ubf_protocol(&view, &cfg.coordinates, &mut trace).expect("perfect radio quiesces");
     let central = BoundaryDetector::new(cfg).detect_view(&view);
     let (_, stats) =
         run_iff_protocol(model.topology(), &central.candidates, cfg.iff.ttl, &mut trace)

@@ -35,9 +35,10 @@ fn full_pipeline_protocols_agree_with_centralized() {
     let off = &mut Trace::disabled();
 
     // Phase 1: UBF.
-    let (ubf_flags, ubf) =
-        run_ubf_protocol(&NetView::from_model(&model), &cfg.ubf, &cfg.coordinates, off)
-            .expect("perfect radio quiesces");
+    let view = NetView::from_model(&model);
+    let (nodes, ubf) =
+        run_ubf_protocol(&view, &cfg.coordinates, off).expect("perfect radio quiesces");
+    let ubf_flags = UbfProtocol::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
     assert_eq!(ubf_flags, central.candidates);
     assert_eq!(ubf.messages, 2 * model.topology().edge_count() as u64);
 
@@ -78,13 +79,10 @@ fn protocol_equivalence_across_error_levels() {
     for error in [0u32, 40, 80] {
         let cfg = DetectorConfig::paper(error, 5);
         let central = BoundaryDetector::new(cfg).detect(&model);
-        let (flags, _) = run_ubf_protocol(
-            &NetView::from_model(&model),
-            &cfg.ubf,
-            &cfg.coordinates,
-            &mut Trace::disabled(),
-        )
-        .expect("perfect radio quiesces");
+        let view = NetView::from_model(&model);
+        let (nodes, _) = run_ubf_protocol(&view, &cfg.coordinates, &mut Trace::disabled())
+            .expect("perfect radio quiesces");
+        let flags = UbfProtocol::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
         assert_eq!(flags, central.candidates, "error={error}%");
     }
 }

@@ -24,7 +24,7 @@ use ballfit::grouping::group_boundaries;
 use ballfit::incremental::IncrementalDetector;
 use ballfit::protocols::{
     run_grouping_protocol, run_hardened_grouping, run_hardened_iff, run_hardened_ubf,
-    run_iff_protocol, run_ubf_protocol, Backoff,
+    run_iff_protocol, run_ubf_protocol, Backoff, UbfProtocol,
 };
 use ballfit::view::NetView;
 use ballfit_netgen::builder::NetworkBuilder;
@@ -34,7 +34,7 @@ use ballfit_obs::Trace;
 use ballfit_par::Parallelism;
 use ballfit_wsn::churn::{ChurnPlan, DynamicTopology, TopologyEvent};
 use ballfit_wsn::faults::FaultPlan;
-use ballfit_wsn::flood::{fragment_sizes, HardenedFragmentFlood};
+use ballfit_wsn::flood::{fragment_sizes, FragmentFlood};
 use ballfit_wsn::sim::Simulator;
 
 fn model() -> NetworkModel {
@@ -125,8 +125,7 @@ fn acceptance_plan_actually_injects_faults() {
         &mut Trace::disabled(),
     );
     // Re-run cheaply via the raw engine to inspect fault counters.
-    let mut sim =
-        Simulator::new(model.topology(), |id| HardenedFragmentFlood::new(id % 2 == 0, 3, 4));
+    let mut sim = Simulator::new(model.topology(), |id| FragmentFlood::new(id % 2 == 0, 3, 4));
     let stats = sim.run_with_faults(60 + plan.round_slack(), &plan);
     assert!(stats.faults.dropped > 0, "plan dropped nothing");
     assert!(stats.faults.crash_lost > 0, "plan crashed no deliveries");
@@ -143,8 +142,9 @@ fn hardened_stack_under_zero_faults_equals_plain_stack() {
     let topo = model.topology();
     let off = &mut Trace::disabled();
 
-    let (plain_flags, _) =
-        run_ubf_protocol(&view, &cfg.ubf, &cfg.coordinates, off).expect("plain quiesces");
+    let (nodes, _) = run_ubf_protocol(&view, &cfg.coordinates, off).expect("plain quiesces");
+    let plain_flags =
+        UbfProtocol::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
     let (hard_flags, _) = run_hardened_ubf(&view, &cfg.ubf, &cfg.coordinates, retry, &none, off)
         .expect("hardened quiesces");
     assert_eq!(hard_flags, plain_flags);

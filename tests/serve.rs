@@ -323,8 +323,9 @@ fn malformed_lines_and_bad_targets_get_typed_errors_in_place() {
 
 #[test]
 fn request_corpus_round_trips_through_the_canonical_codec() {
+    use ballfit::incremental::DetectorCheckpoint;
     use ballfit_geom::Vec3;
-    use ballfit_serve::{WireBackend, WireCheckpoint, WireDetector, WireScene};
+    use ballfit_serve::{WireBackend, WireCheckpoint, WireScene};
     use ballfit_wsn::churn::TopologySnapshot;
     let requests = vec![
         ServeRequest::Create {
@@ -374,14 +375,15 @@ fn request_corpus_round_trips_through_the_canonical_codec() {
                     alive: vec![true, false],
                     range: 1.25,
                 },
-                detector: WireDetector {
+                detector: Box::new(DetectorCheckpoint {
+                    config: WireConfig::default().to_detector(),
                     candidates: vec![true, false],
                     degenerate: vec![false, true],
                     balls: vec![12, 0],
                     fragments: vec![1, 0],
                     boundary: vec![true, false],
                     groups: vec![vec![0]],
-                },
+                }),
             },
         },
         ServeRequest::Inject {
