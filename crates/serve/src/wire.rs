@@ -789,10 +789,12 @@ fn parse_detector(obj: &JsonValue, config: DetectorConfig) -> Parsed<DetectorChe
 
 fn parse_restore(obj: &JsonValue) -> Parsed<ServeRequest> {
     let id = get_str(obj, "id")?;
+    let epoch = get_u64_or(obj, "epoch", 0)?;
+    let injects = get_u64_or(obj, "injects", 0)?;
     let config = parse_config(obj)?;
     let checkpoint = WireCheckpoint {
-        epoch: get_u64_or(obj, "epoch", 0)?,
-        injects: get_u64_or(obj, "injects", 0)?,
+        epoch,
+        injects,
         config,
         snapshot: parse_snapshot(obj)?,
         detector: Box::new(parse_detector(obj, config.to_detector())?),

@@ -15,8 +15,8 @@
 //! There is one round loop, [`Simulator::run_with_faults_traced`]: every
 //! transmission passes through a [`FaultPlan`], and the perfect radio is
 //! [`FaultPlan::none`]. [`Simulator::run`] and [`Simulator::run_traced`]
-//! are that plan, so code that never injects faults runs a radio without
-//! naming one.
+//! run the loop with that plan, so code that never injects faults runs a
+//! radio without naming one.
 //!
 //! Delivery order within a round is deterministic (sorted by destination,
 //! then source, then send order), so protocol runs are reproducible. The
@@ -247,10 +247,10 @@ impl DeliveryOrder {
 /// A round's sends as `(from, to, msg)`, in send order.
 type Batch<M> = Vec<(NodeId, NodeId, M)>;
 
-/// The engine's pending deliveries, grouped by due round, each
-/// group in send order. Only rounds with a message in flight have a
-/// group, so memory follows the in-flight messages whatever the plan's
-/// `max_delay`; drained groups keep their allocation for reuse.
+/// Pending deliveries, grouped by due round, each group in send order.
+/// Only rounds with a message in flight have a group, so memory follows
+/// the in-flight messages whatever the plan's `max_delay`; drained groups
+/// keep their allocation for reuse.
 #[derive(Debug)]
 struct DueGroups<M> {
     groups: BTreeMap<usize, Batch<M>>,
