@@ -242,11 +242,22 @@ impl SpatialGrid {
         adj
     }
 
-    /// Per-point neighbor counts within `radius` — the counting pass of
-    /// [`SpatialGrid::adjacency_csr`] alone, for callers (range
-    /// calibration) that only need degrees.
-    pub fn adjacency_degrees(&self, points: &[Vec3], radius: f64) -> Vec<u32> {
-        self.pairs_within(points, radius).degrees()
+    /// The number of point pairs within `radius`, counted cell by cell in
+    /// the adjacency builders' walk. After each cell, `stop` gets the
+    /// pairs counted so far, and the count ends at the first cell where
+    /// it returns true. A `stop` that never holds counts every pair: half
+    /// the degree sum of [`SpatialGrid::adjacency_csr`].
+    ///
+    /// The count only grows, so a caller whose question is settled by a
+    /// lower bound (range calibration: is the average degree already too
+    /// high?) gets the full count's answer without the rest of the walk.
+    pub fn pair_count_until(
+        &self,
+        points: &[Vec3],
+        radius: f64,
+        stop: impl FnMut(u64) -> bool,
+    ) -> u64 {
+        self.pairs_within(points, radius).walk(|_, _| {}, stop)
     }
 
     /// Builds the fixed-radius adjacency directly in CSR form: returns
@@ -315,7 +326,19 @@ impl PairWalk<'_> {
     /// Offset `o`'s neighbour keys `key + o` ascend with the cells, so one
     /// forward-only cursor per offset finds them all in a single sweep of
     /// `keys`.
-    fn for_each<F: FnMut(usize, usize)>(&self, mut f: F) {
+    fn for_each<F: FnMut(usize, usize)>(&self, f: F) {
+        self.walk(f, |_| false);
+    }
+
+    /// [`PairWalk::for_each`] that also counts the pairs it visits and,
+    /// after each cell, ends early if `stop` holds for the count so far.
+    /// Returns the count.
+    fn walk<F, S>(&self, mut f: F, mut stop: S) -> u64
+    where
+        F: FnMut(usize, usize),
+        S: FnMut(u64) -> bool,
+    {
+        let mut pairs = 0u64;
         let mut cursors = vec![0usize; self.offsets.len()];
         for (cell, &(x, y, z)) in self.keys.iter().enumerate() {
             let mine = self.starts[cell]..self.starts[cell + 1];
@@ -335,11 +358,16 @@ impl PairWalk<'_> {
                     for b in start..other_end {
                         if p.distance_squared(self.positions[b]) <= self.r2 {
                             f(self.members[a], self.members[b]);
+                            pairs += 1;
                         }
                     }
                 }
             }
+            if stop(pairs) {
+                break;
+            }
         }
+        pairs
     }
 
     /// Per-point neighbour counts.
@@ -388,11 +416,16 @@ mod tests {
     /// The map walk the cursor walk replaced, kept as the reference: every
     /// occupied cell in key order against its half-neighbourhood, each
     /// neighbour cell found by a `BTreeMap` lookup. Returns the pairs in
-    /// visit order.
-    fn reference_pairs(grid: &SpatialGrid, points: &[Vec3], radius: f64) -> Vec<(usize, usize)> {
+    /// visit order, one list per occupied cell.
+    fn reference_pairs(
+        grid: &SpatialGrid,
+        points: &[Vec3],
+        radius: f64,
+    ) -> Vec<Vec<(usize, usize)>> {
         let r2 = radius * radius;
-        let mut pairs = Vec::new();
+        let mut cells = Vec::new();
         for (&(x, y, z), bucket) in &grid.cells {
+            let mut pairs = Vec::new();
             for &(dx, dy, dz) in half_offsets(grid.reach_for(radius)).iter() {
                 let same = (dx, dy, dz) == (0, 0, 0);
                 let other = if same {
@@ -412,8 +445,9 @@ mod tests {
                     }
                 }
             }
+            cells.push(pairs);
         }
-        pairs
+        cells
     }
 
     /// Seeded point sets for the cursor walk, each with a cell size and a
@@ -463,7 +497,8 @@ mod tests {
     fn cursor_walk_matches_the_map_walk_and_brute_force() {
         for (name, pts, cell, radius) in walk_cases() {
             let grid = SpatialGrid::build(&pts, cell);
-            let want = reference_pairs(&grid, &pts, radius);
+            let per_cell = reference_pairs(&grid, &pts, radius);
+            let want: Vec<(usize, usize)> = per_cell.concat();
             let mut visits = Vec::new();
             grid.pairs_within(&pts, radius).for_each(|i, j| visits.push((i, j)));
             assert_eq!(visits, want, "{name}: pair-visit order");
@@ -478,8 +513,21 @@ mod tests {
             }
             assert_eq!(adj, brute_adjacency(&pts, radius), "{name}: reference vs brute force");
             assert_eq!(grid.adjacency(&pts, radius), adj, "{name}: adjacency");
-            let degrees: Vec<u32> = adj.iter().map(|list| list.len() as u32).collect();
-            assert_eq!(grid.adjacency_degrees(&pts, radius), degrees, "{name}: degrees");
+            // The stopping count ends after the first cell whose running
+            // total reaches the bound, and counts every pair without one.
+            let total = want.len() as u64;
+            assert_eq!(grid.pair_count_until(&pts, radius, |_| false), total, "{name}: pairs");
+            for bound in [1, 2, total / 3, total / 2, total] {
+                let mut counted = 0;
+                for cell in &per_cell {
+                    counted += cell.len() as u64;
+                    if counted >= bound {
+                        break;
+                    }
+                }
+                let stopped = grid.pair_count_until(&pts, radius, |pairs| pairs >= bound);
+                assert_eq!(stopped, counted, "{name}: count stopped at {bound}");
+            }
             let (offsets, arena) = grid.adjacency_csr(&pts, radius);
             assert_eq!(offsets.len(), pts.len() + 1, "{name}: CSR offsets");
             for (i, list) in adj.iter().enumerate() {
@@ -528,12 +576,12 @@ mod tests {
             let grid = SpatialGrid::build(&pts, cell);
             let reference = grid.adjacency(&pts, radius);
             let (offsets, arena) = grid.adjacency_csr(&pts, radius);
-            let degrees = grid.adjacency_degrees(&pts, radius);
+            let pairs = grid.pair_count_until(&pts, radius, |_| false);
+            assert_eq!(2 * pairs, arena.len() as u64);
             assert_eq!(offsets.len(), pts.len() + 1);
             assert_eq!(offsets[0], 0);
             for (i, list) in reference.iter().enumerate() {
                 let slice = &arena[offsets[i] as usize..offsets[i + 1] as usize];
-                assert_eq!(degrees[i] as usize, list.len(), "degree of {i}");
                 assert_eq!(slice.len(), list.len(), "slice of {i}");
                 assert!(slice.iter().map(|&v| v as usize).eq(list.iter().copied()), "node {i}");
             }
