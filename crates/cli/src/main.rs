@@ -85,10 +85,14 @@ fn scenario_by_name(name: &str) -> Result<Scenario, String> {
 
 fn build_network(args: &Args) -> Result<NetworkModel, Box<dyn std::error::Error>> {
     let scenario = scenario_by_name(args.get("scenario").unwrap_or("sphere"))?;
+    let degree: f64 = args.get_or("degree", 18.5)?;
+    if degree.is_nan() || degree <= 0.0 {
+        return Err(format!("--degree must be positive, got {degree}").into());
+    }
     let model = NetworkBuilder::new(scenario)
         .surface_nodes(args.get_or("surface", 400usize)?)
         .interior_nodes(args.get_or("interior", 700usize)?)
-        .target_degree(args.get_or("degree", 18.5f64)?)
+        .target_degree(degree)
         .seed(args.get_or("seed", 0u64)?)
         .build()?;
     Ok(model)
@@ -258,6 +262,21 @@ mod tests {
             let err =
                 mesh(&args(&format!("mesh {spacing} --out-prefix m"))).unwrap_err().to_string();
             assert!(err.contains("--net"), "{spacing}: {err}");
+        }
+    }
+
+    #[test]
+    fn generate_refuses_empty_parts_and_non_positive_degrees() {
+        for (flags, expected) in [
+            ("--degree 0", "--degree must be positive, got 0"),
+            ("--degree -2.5", "--degree must be positive, got -2.5"),
+            ("--degree nan", "--degree must be positive, got NaN"),
+            ("--surface 0", "surface node count must be positive"),
+            ("--interior 0", "interior node count must be positive"),
+        ] {
+            let line = format!("generate --scenario sphere --out net.json {flags}");
+            let err = build_network(&args(&line)).unwrap_err().to_string();
+            assert_eq!(err, expected, "{flags}");
         }
     }
 }

@@ -78,6 +78,12 @@ pub enum GenError {
         /// Number of connected components found.
         components: usize,
     },
+    /// A node count is zero: every network has ground-truth surface nodes
+    /// and an interior cloud.
+    NoNodes {
+        /// `"surface"` or `"interior"`.
+        kind: &'static str,
+    },
 }
 
 impl std::fmt::Display for GenError {
@@ -92,6 +98,7 @@ impl std::fmt::Display for GenError {
             GenError::Disconnected { components } => {
                 write!(f, "generated network has {components} connected components")
             }
+            GenError::NoNodes { kind } => write!(f, "{kind} node count must be positive"),
         }
     }
 }

@@ -49,7 +49,11 @@
 #   9. ballfit-serve replay     a canned JSONL request log piped through
 #                               the daemon twice (different worker
 #                               counts) must produce byte-identical,
-#                               JSONL-valid response logs; then
+#                               JSONL-valid response logs; the log's
+#                               scene with no surface nodes must answer
+#                               bad-scene and its zero-degree scene
+#                               bad-request, and the daemon must keep
+#                               serving (a panic exits non-zero); then
 #                               serve_load --smoke emits valid JSON
 #  10. scale_ladder --smoke     CSR scaling ladder (small rungs, one
 #                               subprocess per rung) emits valid JSON;
@@ -151,6 +155,8 @@ cargo run -q --release -p ballfit-bench --bin chaos_sweep -- --validate "$SMOKE_
 step "ballfit-serve (wire replay determinism + serve_load --smoke)"
 cat > "$SMOKE_DIR/serve_requests.jsonl" <<'EOF'
 {"op":"create","id":"a","scene":{"scenario":"sphere","surface":80,"interior":120,"degree":13,"seed":7},"config":{"error":0}}
+{"op":"create","id":"b","scene":{"scenario":"sphere","surface":0,"interior":120,"degree":13,"seed":7}}
+{"op":"create","id":"c","scene":{"scenario":"sphere","surface":80,"interior":120,"degree":0,"seed":7}}
 {"op":"events","id":"a","events":[{"kind":"join","position":[0.1,0.2,0.3]},{"kind":"leave","node":5}]}
 {"op":"query","id":"a","what":"boundary"}
 {"op":"query","id":"a","what":"stats"}
@@ -164,6 +170,8 @@ cargo run -q --release -p ballfit-serve --bin ballfit-serve -- --threads 1 \
 cargo run -q --release -p ballfit-serve --bin ballfit-serve -- --threads 4 \
     < "$SMOKE_DIR/serve_requests.jsonl" > "$SMOKE_DIR/serve_responses_b.jsonl"
 cmp "$SMOKE_DIR/serve_responses_a.jsonl" "$SMOKE_DIR/serve_responses_b.jsonl"
+sed -n 2p "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-scene"'
+sed -n 3p "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-request"'
 cargo run -q --release -p ballfit-bench --bin serve_load -- --validate-log "$SMOKE_DIR/serve_responses_a.jsonl"
 BALLFIT_RESULTS="$SMOKE_DIR" cargo run -q --release -p ballfit-bench --bin serve_load -- --smoke
 cargo run -q --release -p ballfit-bench --bin serve_load -- --validate "$SMOKE_DIR/serve_load.json"

@@ -428,6 +428,15 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         // in the delay: refused, up to and including 2³² − 1.
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":65}}", "bad-request"),
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967295}}", "bad-request"),
+        // A scene's degree must be positive: the builder asserts it.
+        (
+            "{\"op\":\"create\",\"id\":\"x\",\"scene\":{\"scenario\":\"sphere\",\"degree\":0}}",
+            "bad-request",
+        ),
+        (
+            "{\"op\":\"create\",\"id\":\"x\",\"scene\":{\"scenario\":\"sphere\",\"degree\":-4}}",
+            "bad-request",
+        ),
     ] {
         let err = ballfit_serve::parse_request(line).expect_err(line);
         assert_eq!(err.code(), code, "{line}");
@@ -474,12 +483,15 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         Ok(ServeRequest::Restore { checkpoint, .. }) => expect_widest(&checkpoint.config),
         other => panic!("restore: {other:?}"),
     }
-    // Service layer: unknown instance ids and events for crashed nodes
-    // answer with typed errors and leave the service serving.
+    // Service layer: unknown instance ids, scenes with no surface or no
+    // interior nodes and events for crashed nodes answer with typed errors
+    // and leave the service serving.
     let mut svc = Service::sequential();
     let transcript = concat!(
         "{\"op\":\"query\",\"id\":\"ghost\",\"what\":\"stats\"}\n",
         "{\"op\":\"create\",\"id\":\"n\",\"positions\":[[0,0,0],[0.5,0,0],[1,0,0]],\"range\":0.8}\n",
+        "{\"op\":\"create\",\"id\":\"s\",\"scene\":{\"scenario\":\"sphere\",\"surface\":0}}\n",
+        "{\"op\":\"create\",\"id\":\"i\",\"scene\":{\"scenario\":\"box\",\"interior\":0}}\n",
         "{\"op\":\"events\",\"id\":\"n\",\"events\":[{\"kind\":\"leave\",\"node\":1}]}\n",
         "{\"op\":\"events\",\"id\":\"n\",\"events\":[{\"kind\":\"move\",\"node\":1,\"to\":[0,1,0]}]}\n",
         "{\"op\":\"query\",\"id\":\"n\",\"what\":\"fragments\"}\n",
@@ -488,9 +500,17 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
     let lines: Vec<&str> = out.lines().collect();
     assert!(lines[0].starts_with("{\"err\":\"unknown-instance\""), "{out}");
     assert!(lines[1].starts_with("{\"ok\":\"create\""), "{out}");
-    assert!(lines[2].starts_with("{\"ok\":\"events\""), "{out}");
-    assert!(lines[3].starts_with("{\"err\":\"dead-node\""), "{out}");
-    assert!(lines[4].starts_with("{\"ok\":\"query\""), "{out}");
+    assert_eq!(
+        lines[2],
+        "{\"err\":\"bad-scene\",\"detail\":\"instance 's': surface node count must be positive\"}"
+    );
+    assert_eq!(
+        lines[3],
+        "{\"err\":\"bad-scene\",\"detail\":\"instance 'i': interior node count must be positive\"}"
+    );
+    assert!(lines[4].starts_with("{\"ok\":\"events\""), "{out}");
+    assert!(lines[5].starts_with("{\"err\":\"dead-node\""), "{out}");
+    assert!(lines[6].starts_with("{\"ok\":\"query\""), "{out}");
     // The instance still answers typed queries after the rejected batch.
     assert!(matches!(
         svc.handle(&ServeRequest::Query { id: "n".to_string(), what: QueryKind::Boundary }),
