@@ -58,7 +58,6 @@ pub struct NetworkBuilder {
     target_degree: Option<f64>,
     radio_range: Option<f64>,
     surface_shell: f64,
-    surface_spacing: f64,
     interior_margin: f64,
     placement: Placement,
     require_connected: bool,
@@ -76,7 +75,6 @@ impl NetworkBuilder {
             target_degree: Some(18.5),
             radio_range: None,
             surface_shell: 0.25,
-            surface_spacing: 0.0,
             interior_margin: 0.35,
             placement: Placement::BlueNoise,
             require_connected: true,
@@ -119,13 +117,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Minimum spacing between surface samples (0 disables thinning).
-    pub fn surface_spacing(mut self, spacing: f64) -> Self {
-        assert!(spacing >= 0.0, "spacing must be non-negative");
-        self.surface_spacing = spacing;
-        self
-    }
-
     /// Clearance between interior nodes and the model surface (default
     /// 0.35 model units: it is compared with the shape's signed distance
     /// field, so it does not scale with the calibrated radio range).
@@ -159,8 +150,8 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// * [`GenError::SamplingBudgetExhausted`] — shape too thin or spacing
-    ///   too tight for the requested node counts;
+    /// * [`GenError::SamplingBudgetExhausted`] — shape too thin for the
+    ///   requested node counts;
     /// * [`GenError::DegreeUnreachable`] — no range in the search bracket
     ///   achieves the target degree;
     /// * [`GenError::Disconnected`] — the final network has more than one
@@ -177,13 +168,7 @@ impl NetworkBuilder {
 
         let (surface, interior) = match self.placement {
             Placement::Uniform => (
-                sampler::sample_surface(
-                    &*sdf,
-                    self.n_surface,
-                    self.surface_shell,
-                    self.surface_spacing,
-                    &mut rng,
-                )?,
+                sampler::sample_surface(&*sdf, self.n_surface, self.surface_shell, &mut rng)?,
                 sampler::sample_interior(&*sdf, self.n_interior, self.interior_margin, &mut rng)?,
             ),
             Placement::BlueNoise => {
@@ -194,7 +179,6 @@ impl NetworkBuilder {
                     &*sdf,
                     self.n_surface * pool_factor,
                     self.surface_shell,
-                    0.0,
                     &mut rng,
                 )?;
                 let (surface, _) = sampler::poisson_select(&surface_pool, self.n_surface);

@@ -17,8 +17,8 @@
 //!   column, space network with one and two interior holes, bended pipe,
 //!   sphere) plus extra shapes, built on the SDF algebra of `ballfit-geom`.
 //! * [`sampler`] — rejection sampling for interior clouds and
-//!   project-to-surface sampling for ground-truth boundary nodes, with
-//!   optional minimum-spacing thinning.
+//!   project-to-surface sampling for ground-truth boundary nodes, and
+//!   minimum-spacing thinning for blue-noise placement.
 //! * [`builder::NetworkBuilder`] — end-to-end generation with radio-range
 //!   calibration to a target average degree.
 //! * [`model::NetworkModel`] — the generated network: positions, ground

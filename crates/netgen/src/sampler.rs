@@ -51,11 +51,6 @@ pub fn sample_interior<S: Sdf + ?Sized>(
 /// solid: candidates are drawn from a thin shell `|distance| < shell` and
 /// Newton-projected onto the zero level set.
 ///
-/// `min_spacing`, when positive, thins the result so no two surface samples
-/// are closer than that distance (a Poisson-disk-like blue-noise surface
-/// distribution, which matches the paper's "randomly uniformly distributed
-/// on the surface").
-///
 /// # Errors
 ///
 /// [`GenError::SamplingBudgetExhausted`] if not enough surface points can
@@ -64,7 +59,6 @@ pub fn sample_surface<S: Sdf + ?Sized>(
     sdf: &S,
     count: usize,
     shell: f64,
-    min_spacing: f64,
     rng: &mut StdRng,
 ) -> Result<Vec<Vec3>, GenError> {
     assert!(shell > 0.0, "shell thickness must be positive");
@@ -72,7 +66,6 @@ pub fn sample_surface<S: Sdf + ?Sized>(
     let mut out: Vec<Vec3> = Vec::with_capacity(count);
     let budget = count.saturating_mul(20_000).max(20_000);
     let mut attempts = 0usize;
-    let spacing2 = min_spacing * min_spacing;
     while out.len() < count && attempts < budget {
         attempts += 1;
         let p = sample_in_bounds(rng, &bounds);
@@ -82,9 +75,6 @@ pub fn sample_surface<S: Sdf + ?Sized>(
         let q = sdf.project_to_surface(p, 15);
         if sdf.distance(q).abs() > shell * 0.1 {
             continue; // projection failed to converge (e.g. CSG crease)
-        }
-        if min_spacing > 0.0 && out.iter().any(|&e| e.distance_squared(q) < spacing2) {
-            continue;
         }
         out.push(q);
     }
@@ -345,33 +335,32 @@ mod tests {
     fn surface_points_lie_on_surface() {
         let s = SphereSdf::new(Vec3::ZERO, 2.0);
         let mut rng = StdRng::seed_from_u64(4);
-        let pts = sample_surface(&s, 300, 0.2, 0.0, &mut rng).unwrap();
+        let pts = sample_surface(&s, 300, 0.2, &mut rng).unwrap();
         assert_eq!(pts.len(), 300);
         for p in &pts {
             assert!(s.distance(*p).abs() < 0.02, "off-surface point {p}");
         }
     }
 
-    #[test]
-    fn surface_spacing_is_enforced() {
-        let s = SphereSdf::new(Vec3::ZERO, 2.0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let spacing = 0.5;
-        let pts = sample_surface(&s, 60, 0.2, spacing, &mut rng).unwrap();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                assert!(pts[i].distance(pts[j]) >= spacing - 1e-9, "pair ({i},{j}) too close");
-            }
+    /// A field with no zero level set: every point is 1 outside, so no
+    /// candidate ever lands in the sampling shell.
+    #[derive(Debug)]
+    struct NoSurface;
+
+    impl Sdf for NoSurface {
+        fn distance(&self, _: Vec3) -> f64 {
+            1.0
+        }
+
+        fn bounds(&self) -> ballfit_geom::Aabb {
+            ballfit_geom::Aabb::new(Vec3::ZERO, Vec3::splat(1.0))
         }
     }
 
     #[test]
-    fn impossible_spacing_exhausts_budget() {
-        let s = SphereSdf::new(Vec3::ZERO, 1.0);
-        let mut rng = StdRng::seed_from_u64(6);
-        // Sphere area ≈ 12.6; 10 000 points with spacing 1 cannot fit.
-        let err = sample_surface(&s, 10_000, 0.2, 1.0, &mut rng).unwrap_err();
-        assert!(matches!(err, GenError::SamplingBudgetExhausted { .. }));
+    fn surfaceless_shape_exhausts_budget() {
+        let err = sample_surface(&NoSurface, 3, 0.2, &mut StdRng::seed_from_u64(6)).unwrap_err();
+        assert!(matches!(err, GenError::SamplingBudgetExhausted { placed: 0, requested: 3 }));
         let msg = err.to_string();
         assert!(msg.contains("budget exhausted"), "{msg}");
     }

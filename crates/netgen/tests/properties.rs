@@ -23,7 +23,7 @@ fn samples_respect_the_shape() {
         for p in &interior {
             assert!(sdf.distance(*p) < 0.0, "case {case}: {scenario}: interior point escaped");
         }
-        let surface = sample_surface(&*sdf, 30, 0.25, 0.0, &mut rng).unwrap();
+        let surface = sample_surface(&*sdf, 30, 0.25, &mut rng).unwrap();
         for p in &surface {
             assert!(
                 sdf.distance(*p).abs() < 0.05,
