@@ -1,11 +1,14 @@
 //! `ballfit-json`: the workspace's one JSON codec. The serve wire
-//! protocol, the CLI's network files, `trace_diff`, the lint baseline
-//! and `ballfit-bench`'s `--validate*` checks all read and write through
-//! it.
+//! protocol, the CLI's network files, `trace_diff`, the lint baseline,
+//! `ballfit-bench`'s committed artifacts and its `--validate` check all
+//! read and write through it.
 //!
-//! A recursive-descent parser produces a [`JsonValue`] tree, and one
-//! canonical compact writer ([`fmt::Display`]) turns a tree back into
-//! text. Design points, all in service of the determinism contract:
+//! A recursive-descent parser produces a [`JsonValue`] tree, and two
+//! writers turn a tree back into text: the canonical compact form
+//! ([`fmt::Display`]) for wire messages and trace lines, and
+//! [`JsonValue::to_artifact`]'s line layout for committed files. Both
+//! share one string escaper and write numbers as their raw tokens.
+//! Design points, all in service of the determinism contract:
 //!
 //! * Numbers keep their **raw token** ([`JsonValue::Num`]). Integer
 //!   fields parse losslessly via `str::parse::<u64>` (no float
@@ -19,7 +22,7 @@
 //! * Parsing never panics: malformed input, oversized nesting, bad
 //!   escapes, and trailing garbage all return [`JsonError`].
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// Maximum nesting depth the parser accepts. Deeper input is rejected
 /// (never a stack overflow) — wire messages are a few levels deep.
@@ -101,6 +104,65 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The layout of committed artifacts (`results/*.json`, the lint
+    /// baseline), ending in a newline. The top-level object has one key
+    /// per line, a non-empty array of objects (rows) has one element per
+    /// line, and an object that holds rows has one key per line;
+    /// everything else, rows nested inside a row included, is inline with
+    /// `", "` and `": "`. Scalars are written as the compact form writes
+    /// them, so `parse` then `to_artifact` reproduces an artifact.
+    pub fn to_artifact(&self) -> String {
+        fn rows(v: &JsonValue) -> bool {
+            matches!(v, JsonValue::Arr(items)
+                if !items.is_empty() && items.iter().all(|i| matches!(i, JsonValue::Obj(_))))
+        }
+        fn write(out: &mut String, v: &JsonValue, depth: usize, expand: bool) {
+            let (open, close, children): (_, _, Vec<(Option<&String>, &JsonValue)>) = match v {
+                JsonValue::Obj(pairs) => {
+                    ('{', '}', pairs.iter().map(|(k, v)| (Some(k), v)).collect())
+                }
+                JsonValue::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+                scalar => {
+                    out.push_str(&scalar.to_string());
+                    return;
+                }
+            };
+            let lines = expand
+                && !children.is_empty()
+                && (depth == 0 && matches!(v, JsonValue::Obj(_))
+                    || rows(v)
+                    || children.iter().any(|(key, child)| key.is_some() && rows(child)));
+            let newline = |out: &mut String, depth: usize| {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            };
+            out.push(open);
+            for (i, (key, child)) in children.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if lines {
+                    newline(out, depth + 1);
+                } else if i > 0 {
+                    out.push(' ');
+                }
+                if let Some(key) = key {
+                    let _ = write_str_literal(out, key);
+                    out.push_str(": ");
+                }
+                write(out, child, depth + 1, lines && key.is_some());
+            }
+            if lines {
+                newline(out, depth);
+            }
+            out.push(close);
+        }
+        let mut out = String::new();
+        write(&mut out, self, 0, true);
+        out.push('\n');
+        out
+    }
 }
 
 /// The canonical compact form: no whitespace, keys in tree order,
@@ -138,7 +200,7 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn write_str_literal(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+fn write_str_literal(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {
@@ -588,5 +650,42 @@ mod tests {
         );
         assert_eq!(parse(&line), Ok(tree));
         assert_eq!(arr([1i64, -2]).to_string(), "[1,-2]");
+    }
+
+    #[test]
+    fn artifact_layout_puts_rows_and_their_holders_on_lines() {
+        let kept = || JsonValue::Num("1.0000".to_string());
+        let tree = obj([
+            ("meta", obj([("note", "say \"hi\" \\ bye".into()), ("tags", arr(["a", "b"]))])),
+            (
+                "rows",
+                arr([
+                    obj([("id", "a".into()), ("score", kept()), ("inner", arr([obj([])]))]),
+                    obj([("id", "b".into()), ("score", kept()), ("inner", arr::<JsonValue>([]))]),
+                ]),
+            ),
+            ("at_scale", obj([("rows", arr([obj([("n", 2u64.into())])])), ("fit", 0.5.into())])),
+            ("empty", arr::<JsonValue>([])),
+        ]);
+        let text = tree.to_artifact();
+        assert_eq!(
+            text,
+            r#"{
+  "meta": {"note": "say \"hi\" \\ bye", "tags": ["a", "b"]},
+  "rows": [
+    {"id": "a", "score": 1.0000, "inner": [{}]},
+    {"id": "b", "score": 1.0000, "inner": []}
+  ],
+  "at_scale": {
+    "rows": [
+      {"n": 2}
+    ],
+    "fit": 0.5
+  },
+  "empty": []
+}
+"#
+        );
+        assert_eq!(parse(&text).map(|v| v.to_artifact()), Ok(text));
     }
 }

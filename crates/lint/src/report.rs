@@ -10,11 +10,11 @@
 //! multiset of a run against a committed baseline and reports exactly
 //! what appeared and what vanished, plus every `meta` field that changed.
 //!
-//! Strings are escaped and baselines are parsed by `ballfit_json`, the
-//! workspace's one JSON codec.
+//! The report is a `ballfit_json` tree written in the codec's artifact
+//! layout, and baselines are parsed by the same codec.
 
 use crate::passes::{Analysis, Diagnostic, Pass};
-use ballfit_json::JsonValue;
+use ballfit_json::{arr, obj, JsonValue};
 use std::collections::BTreeMap;
 
 /// One report entry: a diagnostic plus its stable fingerprint.
@@ -90,46 +90,38 @@ fn fingerprint(pass: &str, file: &str, message: &str, occurrence: u32) -> String
 /// line so drift reviews read as line diffs.
 pub fn render(analysis: &Analysis) -> String {
     let entries = entries(&analysis.diagnostics);
-    let mut out = String::new();
-    out.push_str(
-        "{\n  \"meta\": {\n    \"tool\": \"ballfit-lint\",\n    \"schema\": 1,\n    \"passes\": [",
-    );
-    for (i, p) in Pass::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&JsonValue::from(p.name()).to_string());
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("    \"files\": {},\n", analysis.files));
-    out.push_str(&format!("    \"functions\": {}\n", analysis.functions));
-    out.push_str("  },\n  \"diagnostics\": [");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"fingerprint\": {}, \"pass\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            JsonValue::from(e.fingerprint.as_str()),
-            JsonValue::from(e.pass.as_str()),
-            JsonValue::from(e.file.as_str()),
-            e.line,
-            JsonValue::from(e.message.as_str())
-        ));
-    }
-    if !entries.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"summary\": {\n");
-    out.push_str(&format!("    \"total\": {},\n", entries.len()));
-    out.push_str("    \"by_pass\": {");
-    for (i, p) in Pass::ALL.iter().enumerate() {
-        let n = entries.iter().filter(|e| e.pass == p.name()).count();
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{}: {}", JsonValue::from(p.name()), n));
-    }
-    out.push_str("}\n  }\n}\n");
-    out
+    let passes = || Pass::ALL.iter().map(|p| p.name());
+    let diagnostics = entries.iter().map(|e| {
+        obj([
+            ("fingerprint", e.fingerprint.as_str().into()),
+            ("pass", e.pass.as_str().into()),
+            ("file", e.file.as_str().into()),
+            ("line", e.line.into()),
+            ("message", e.message.as_str().into()),
+        ])
+    });
+    let by_pass = passes().map(|name| (name, entries.iter().filter(|e| e.pass == name).count()));
+    obj([
+        (
+            "meta",
+            obj([
+                ("tool", "ballfit-lint".into()),
+                ("schema", 1u32.into()),
+                ("passes", arr(passes())),
+                ("files", analysis.files.into()),
+                ("functions", analysis.functions.into()),
+            ]),
+        ),
+        ("diagnostics", arr(diagnostics)),
+        (
+            "summary",
+            obj([
+                ("total", entries.len().into()),
+                ("by_pass", obj(by_pass.map(|(name, n)| (name, n.into())))),
+            ]),
+        ),
+    ])
+    .to_artifact()
 }
 
 /// Baseline drift: fingerprints present now but not in the baseline
@@ -285,7 +277,7 @@ mod tests {
         let drift = diff(&grown, &base).expect("baseline parses");
         assert_eq!(drift.meta, ["functions: baseline 17, now 18"]);
         assert!(drift.added.is_empty() && drift.removed.is_empty() && !drift.is_empty());
-        let dropped = base.replace("    \"schema\": 1,\n", "");
+        let dropped = base.replace("\"schema\": 1, ", "");
         let drift = diff(&analysis(Vec::new()), &dropped).expect("baseline parses");
         assert_eq!(drift.meta, ["schema: baseline missing, now 1"]);
     }
