@@ -14,10 +14,11 @@
 use ballfit::config::{DetectorConfig, UbfConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::metrics::DetectionStats;
-use ballfit_bench::{format_table, gallery_network, parallel_map, pct, write_csv};
+use ballfit_bench::{format_table, gallery_network, parallel_map, pct, write_csv, Args};
 use ballfit_netgen::scenario::Scenario;
 
 fn main() {
+    Args::from_env("");
     let model = gallery_network(Scenario::SpaceOneHole, 9);
     let hole_radius_in_ranges = 2.0 / model.radio_range();
     println!(

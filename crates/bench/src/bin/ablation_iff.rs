@@ -10,10 +10,11 @@
 use ballfit::config::{CoordinateSource, DetectorConfig, IffConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::metrics::DetectionStats;
-use ballfit_bench::{format_table, gallery_network, parallel_map, pct, write_csv};
+use ballfit_bench::{format_table, gallery_network, parallel_map, pct, write_csv, Args};
 use ballfit_netgen::scenario::Scenario;
 
 fn main() {
+    Args::from_env("");
     let model = gallery_network(Scenario::SolidSphere, 5);
     println!("sphere network: {} nodes, 40% distance error", model.len());
 

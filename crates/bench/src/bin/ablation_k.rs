@@ -10,10 +10,11 @@
 use ballfit::config::{DetectorConfig, SurfaceConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::surface::SurfaceBuilder;
-use ballfit_bench::{format_table, gallery_network, parallel_map, write_csv};
+use ballfit_bench::{format_table, gallery_network, parallel_map, write_csv, Args};
 use ballfit_netgen::scenario::Scenario;
 
 fn main() {
+    Args::from_env("");
     let scenarios = [Scenario::SolidSphere, Scenario::BendedPipe];
     let mut table = vec![vec![
         "scenario".into(),

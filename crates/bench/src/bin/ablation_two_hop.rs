@@ -19,11 +19,12 @@
 use ballfit::config::{DetectorConfig, UbfConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::metrics::DetectionStats;
-use ballfit_bench::{format_table, pct, write_csv};
+use ballfit_bench::{format_table, pct, write_csv, Args};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::scenario::Scenario;
 
 fn main() {
+    Args::from_env("");
     let mut table = vec![vec![
         "placement".into(),
         "witnesses".into(),

@@ -34,15 +34,13 @@
 //! `--validate <path>` checks an emitted file for JSON well-formedness
 //! in-process and exits.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use ballfit_bench::{gallery_network, results_path, validate_and_exit, Parallelism};
+use ballfit_bench::{fixed, gallery_network, Args, Parallelism};
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
 use ballfit::view::NetView;
 use ballfit_backends::{configured, NAMES};
+use ballfit_json::{arr, obj, JsonValue};
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::churn::ChurnDriver;
 use ballfit_netgen::model::NetworkModel;
@@ -335,61 +333,28 @@ fn run_churn_cell(
     }
 }
 
-fn json_opt(x: Option<f64>) -> String {
-    match x {
-        Some(v) if v.is_finite() => format!("{v:.4}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn push_rows(out: &mut String, rows: &[BackendRow]) {
-    out.push_str("\"backends\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{{\"backend\": \"{}\", \"boundary\": {}, \"groups\": {}, \
-             \"recall\": {}, \"precision\": {}, \"jaccard\": {}, \
-             \"messages\": {}, \"bytes\": {}, \"rounds\": {}, \"ball_tests\": {}}}",
-            r.backend,
-            r.boundary,
-            r.groups,
-            json_opt(r.quality.recall),
-            json_opt(r.quality.precision),
-            json_opt(r.quality.jaccard),
-            r.messages,
-            r.bytes,
-            r.rounds,
-            r.ball_tests,
-        );
-        out.push_str(if i + 1 < rows.len() { ", " } else { "" });
-    }
-    out.push(']');
+/// A cell's `backends` rows.
+fn backends(rows: &[BackendRow]) -> JsonValue {
+    arr(rows.iter().map(|r| {
+        obj([
+            ("backend", r.backend.into()),
+            ("boundary", r.boundary.into()),
+            ("groups", r.groups.into()),
+            ("recall", fixed(r.quality.recall, 4)),
+            ("precision", fixed(r.quality.precision, 4)),
+            ("jaccard", fixed(r.quality.jaccard, 4)),
+            ("messages", r.messages.into()),
+            ("bytes", r.bytes.into()),
+            ("rounds", r.rounds.into()),
+            ("ball_tests", r.ball_tests.into()),
+        ])
+    }))
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                threads = Some(n.parse().expect("--threads requires a positive integer"));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --out <path> / --threads <n> / \
-                 --validate <path>)"
-            ),
-        }
-    }
-    let parallelism = threads.map(Parallelism::threads).unwrap_or_default();
+    let args = Args::from_env("--smoke --out <path> --threads <n> --validate <path>");
+    let smoke = args.has("--smoke");
+    let parallelism = args.parallelism();
     let grids = grids(smoke);
     let fault_cells_n = grids.losses.len() * grids.crash_fractions.len() * grids.fault_seeds.len();
     let churn_cells_n =
@@ -413,7 +378,7 @@ fn main() {
                 "  gallery {:<12} {:<4}: J={} boundary={} msgs={} balls={}",
                 c.scenario,
                 r.backend,
-                json_opt(r.quality.jaccard),
+                fixed(r.quality.jaccard, 4),
                 r.boundary,
                 r.messages,
                 r.ball_tests,
@@ -445,7 +410,7 @@ fn main() {
                 c.crash_fraction,
                 c.seed,
                 r.backend,
-                json_opt(r.quality.jaccard),
+                fixed(r.quality.jaccard, 4),
                 r.messages,
             );
         }
@@ -474,69 +439,64 @@ fn main() {
                 c.rate,
                 c.seed,
                 r.backend,
-                json_opt(r.quality.jaccard),
+                fixed(r.quality.jaccard, 4),
                 r.messages,
             );
         }
     }
 
-    let mut body = String::new();
-    body.push_str("{\n");
-    let _ = writeln!(
-        body,
-        "  \"meta\": {{\"experiment\": \"E22-backend-matrix\", \"smoke\": {smoke}, \
-         \"backends\": [{}], \"coordinates\": \"ground-truth\", \
-         \"quality\": {{\"gallery\": \"vs generated ground truth\", \
-         \"faults\": \"alive nodes vs fault-free reference\", \
-         \"churn\": \"live nodes vs from-scratch reference on the final topology\"}}}},",
-        NAMES.iter().map(|n| format!("\"{n}\"")).collect::<Vec<_>>().join(", "),
-    );
-    body.push_str("  \"gallery\": [\n");
-    for (i, c) in gallery_cells.iter().enumerate() {
-        let _ = write!(
-            body,
-            "    {{\"scenario\": \"{}\", \"nodes\": {}, \"edges\": {}, ",
-            c.scenario, c.nodes, c.edges
-        );
-        push_rows(&mut body, &c.rows);
-        body.push('}');
-        body.push_str(if i + 1 < gallery_cells.len() { ",\n" } else { "\n" });
-    }
-    body.push_str("  ],\n");
-    let _ = writeln!(
-        body,
-        "  \"fault_model\": {{\"nodes\": {}, \"edges\": {}}},",
-        fault_model.len(),
-        fault_model.topology().edge_count()
-    );
-    body.push_str("  \"faults\": [\n");
-    for (i, c) in fault_cells.iter().enumerate() {
-        let _ = write!(
-            body,
-            "    {{\"loss\": {}, \"crash_fraction\": {}, \"seed\": {}, \"crashed\": {}, \
-             \"dropped_links\": {}, ",
-            c.loss, c.crash_fraction, c.seed, c.crashed, c.dropped_links
-        );
-        push_rows(&mut body, &c.rows);
-        body.push('}');
-        body.push_str(if i + 1 < fault_cells.len() { ",\n" } else { "\n" });
-    }
-    body.push_str("  ],\n");
-    body.push_str("  \"churn\": [\n");
-    for (i, c) in churn_cells.iter().enumerate() {
-        let _ = write!(
-            body,
-            "    {{\"scenario\": \"{}\", \"rate\": {}, \"seed\": {}, \"events\": {}, \
-             \"live_final\": {}, ",
-            c.scenario, c.rate, c.seed, c.events, c.live_final
-        );
-        push_rows(&mut body, &c.rows);
-        body.push('}');
-        body.push_str(if i + 1 < churn_cells.len() { ",\n" } else { "\n" });
-    }
-    body.push_str("  ]\n}\n");
-
-    let path = results_path(out, "backend_matrix.json");
-    std::fs::write(&path, &body).expect("matrix JSON is writable");
-    println!("wrote {}", path.display());
+    let meta = obj([
+        ("experiment", "E22-backend-matrix".into()),
+        ("smoke", smoke.into()),
+        ("backends", arr(NAMES)),
+        ("coordinates", "ground-truth".into()),
+        (
+            "quality",
+            obj([
+                ("gallery", "vs generated ground truth".into()),
+                ("faults", "alive nodes vs fault-free reference".into()),
+                ("churn", "live nodes vs from-scratch reference on the final topology".into()),
+            ]),
+        ),
+    ]);
+    let gallery = gallery_cells.iter().map(|c| {
+        obj([
+            ("scenario", c.scenario.as_str().into()),
+            ("nodes", c.nodes.into()),
+            ("edges", c.edges.into()),
+            ("backends", backends(&c.rows)),
+        ])
+    });
+    let faults = fault_cells.iter().map(|c| {
+        obj([
+            ("loss", c.loss.into()),
+            ("crash_fraction", c.crash_fraction.into()),
+            ("seed", c.seed.into()),
+            ("crashed", c.crashed.into()),
+            ("dropped_links", c.dropped_links.into()),
+            ("backends", backends(&c.rows)),
+        ])
+    });
+    let churn = churn_cells.iter().map(|c| {
+        obj([
+            ("scenario", c.scenario.as_str().into()),
+            ("rate", c.rate.into()),
+            ("seed", c.seed.into()),
+            ("events", c.events.into()),
+            ("live_final", c.live_final.into()),
+            ("backends", backends(&c.rows)),
+        ])
+    });
+    let fault_model = obj([
+        ("nodes", fault_model.len().into()),
+        ("edges", fault_model.topology().edge_count().into()),
+    ]);
+    let doc = obj([
+        ("meta", meta),
+        ("gallery", arr(gallery)),
+        ("fault_model", fault_model),
+        ("faults", arr(faults)),
+        ("churn", arr(churn)),
+    ]);
+    args.write_artifact("backend_matrix.json", &doc);
 }

@@ -11,8 +11,8 @@
 //! epochs, minimum coverage, mean boundary Jaccard against the
 //! incremental oracle, total detection lag (extra rounds vs the
 //! fault-free baseline), repair traffic, and the degradation-cause
-//! histogram. Results are emitted as JSON (hand-rolled — the sweep is
-//! dependency-free by design) into `$BALLFIT_RESULTS` or `results/`.
+//! histogram. Results are written as a JSON artifact into
+//! `$BALLFIT_RESULTS` or `results/`.
 //!
 //! Every reported quantity is a deterministic function of the seeds —
 //! no wall-clock fields — so repeated runs are byte-identical.
@@ -29,10 +29,10 @@
 //! `--trace <path>` re-runs the heaviest cell with tracing enabled and
 //! exports the chaos/epoch/watchdog span tree as JSONL.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 
-use ballfit_bench::{results_path, validate_and_exit, Parallelism};
+use ballfit_bench::{fixed, Args, Parallelism};
+use ballfit_json::{arr, obj};
 
 use ballfit::chaos::{run_chaos, run_chaos_traced, ChaosConfig, ChaosReport, DegradeCause};
 use ballfit::config::DetectorConfig;
@@ -152,33 +152,10 @@ fn summarize(loss: f64, crash: f64, rate: f64, report: &ChaosReport) -> Cell {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.next().expect("--trace requires a path")));
-            }
-            "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                threads = Some(n.parse().expect("--threads requires a positive integer"));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --out <path> / --trace <path> / \
-                 --threads <n> / --validate <path>)"
-            ),
-        }
-    }
-    let parallelism = threads.map(Parallelism::threads).unwrap_or_default();
+    let args =
+        Args::from_env("--smoke --out <path> --trace <path> --threads <n> --validate <path>");
+    let smoke = args.has("--smoke");
+    let parallelism = args.parallelism();
 
     let grid = grid(smoke);
     let model = reference_model(smoke);
@@ -225,7 +202,7 @@ fn main() {
         );
     }
 
-    if let Some(tp) = &trace_out {
+    if let Some(tp) = args.value("--trace") {
         // Re-run the heaviest cell traced: the full chaos/epoch/watchdog
         // span tree, including per-epoch verdict events.
         let &(loss, crash, rate) = params.last().expect("grid is never empty");
@@ -233,51 +210,42 @@ fn main() {
         let mut trace = ballfit_obs::Trace::enabled();
         run_chaos_traced(&model, &config, POSITION_SEED, Parallelism::sequential(), &mut trace)
             .expect("in-shape sampling never exhausts");
-        trace.write_jsonl(tp).expect("trace JSONL is writable");
-        println!("wrote trace {}", tp.display());
+        trace.write_jsonl(Path::new(tp)).expect("trace JSONL is writable");
+        println!("wrote trace {tp}");
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"meta\": {{\"experiment\": \"E19-chaos\", \"smoke\": {smoke}, \
-         \"scenario\": \"SpaceOneHole\", \"nodes\": {}, \"epochs\": {}, \
-         \"coordinates\": \"local-mds (zero noise)\", \
-         \"crash_window\": \"down at round 1, revive at round 6\", \
-         \"oracle\": \"incremental detector on the same churned topology\"}},",
-        model.len(),
-        grid.epochs
-    );
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"loss\": {}, \"crash\": {}, \"rate\": {}, \"epochs\": {}, \
-             \"exact_epochs\": {}, \"min_coverage\": {:.6}, \"mean_jaccard\": {:.6}, \
-             \"total_lag\": {}, \"repairs\": {}, \"exhausted\": {}, \
-             \"causes\": {{\"partition\": {}, \"crash_quorum\": {}, \
-             \"retry_exhausted\": {}, \"truncated\": {}}}}}",
-            c.loss,
-            c.crash,
-            c.rate,
-            c.epochs,
-            c.exact_epochs,
-            c.min_coverage,
-            c.mean_jaccard,
-            c.total_lag,
-            c.repairs,
-            c.exhausted,
-            c.partition,
-            c.crash_quorum,
-            c.retry_exhausted,
-            c.truncated,
-        );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = results_path(out, "chaos_sweep.json");
-    std::fs::write(&path, &json).expect("sweep JSON is writable");
-    println!("wrote {}", path.display());
+    let cells = cells.iter().map(|c| {
+        obj([
+            ("loss", c.loss.into()),
+            ("crash", c.crash.into()),
+            ("rate", c.rate.into()),
+            ("epochs", c.epochs.into()),
+            ("exact_epochs", c.exact_epochs.into()),
+            ("min_coverage", fixed(c.min_coverage, 6)),
+            ("mean_jaccard", fixed(c.mean_jaccard, 6)),
+            ("total_lag", c.total_lag.into()),
+            ("repairs", c.repairs.into()),
+            ("exhausted", c.exhausted.into()),
+            (
+                "causes",
+                obj([
+                    ("partition", c.partition.into()),
+                    ("crash_quorum", c.crash_quorum.into()),
+                    ("retry_exhausted", c.retry_exhausted.into()),
+                    ("truncated", c.truncated.into()),
+                ]),
+            ),
+        ])
+    });
+    let meta = obj([
+        ("experiment", "E19-chaos".into()),
+        ("smoke", smoke.into()),
+        ("scenario", "SpaceOneHole".into()),
+        ("nodes", model.len().into()),
+        ("epochs", grid.epochs.into()),
+        ("coordinates", "local-mds (zero noise)".into()),
+        ("crash_window", "down at round 1, revive at round 6".into()),
+        ("oracle", "incremental detector on the same churned topology".into()),
+    ]);
+    args.write_artifact("chaos_sweep.json", &obj([("meta", meta), ("cells", arr(cells))]));
 }

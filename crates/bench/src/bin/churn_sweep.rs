@@ -13,9 +13,8 @@
 //! costs. A final hole-cycle phase heals the one-hole scenario's interior
 //! void with a lattice of filler joins (boundary groups 2 → 1) and carves
 //! it back open by removing them (→ 2), tracking boundary-accuracy
-//! stability. Results are emitted as JSON (hand-rolled —
-//! the sweep is dependency-free by design) into `$BALLFIT_RESULTS` or
-//! `results/`.
+//! stability. Results are written as a JSON artifact into
+//! `$BALLFIT_RESULTS` or `results/`.
 //!
 //! ```sh
 //! cargo run --release -p ballfit-bench --bin churn_sweep            # full grid
@@ -31,11 +30,11 @@
 //! `--validate <path>` checks an emitted file for JSON well-formedness
 //! in-process and exits.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
-use ballfit_bench::{results_path, validate_and_exit, Parallelism};
+use ballfit_bench::{fixed, Args, Parallelism};
+use ballfit_json::{arr, obj};
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
@@ -288,33 +287,10 @@ fn hole_cycle(
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.next().expect("--trace requires a path")));
-            }
-            "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                threads = Some(n.parse().expect("--threads requires a positive integer"));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --out <path> / --trace <path> / \
-                 --threads <n> / --validate <path>)"
-            ),
-        }
-    }
-    let parallelism = threads.map(Parallelism::threads).unwrap_or_default();
+    let args =
+        Args::from_env("--smoke --out <path> --trace <path> --threads <n> --validate <path>");
+    let smoke = args.has("--smoke");
+    let parallelism = args.parallelism();
 
     let config = DetectorConfig::default();
     let grid = grid(smoke);
@@ -360,15 +336,16 @@ fn main() {
 
     eprintln!("  hole cycle (heal + re-carve the one-hole void)...");
     let hole = hole_model(smoke);
+    let trace_out = args.value("--trace");
     let mut trace = if trace_out.is_some() {
         ballfit_obs::Trace::enabled()
     } else {
         ballfit_obs::Trace::disabled()
     };
     let cycle = hole_cycle(&hole, config, &mut trace);
-    if let Some(tp) = &trace_out {
-        trace.write_jsonl(tp).expect("trace JSONL is writable");
-        println!("wrote trace {}", tp.display());
+    if let Some(tp) = trace_out {
+        trace.write_jsonl(Path::new(tp)).expect("trace JSONL is writable");
+        println!("wrote trace {tp}");
     }
     eprintln!(
         "  hole cycle: {} fillers, groups {} -> {} -> {}, boundary {} -> {} -> {}",
@@ -381,57 +358,55 @@ fn main() {
         cycle.boundary_reopened,
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"meta\": {{\"experiment\": \"E16-churn\", \"smoke\": {smoke}, \
-         \"nodes\": {}, \"epochs\": {}, \"coordinates\": \"ground-truth\", \
-         \"exactness\": \"asserted on every event\"}},",
-        nodes, grid.epochs
-    );
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"scenario\": \"{}\", \"rate\": {}, \"seed\": {}, \"events\": {}, \
-             \"live_final\": {}, \
-             \"speedup\": {{\"p10\": {:.3}, \"median\": {:.3}, \"p90\": {:.3}}}, \
-             \"halo\": {{\"p50\": {}, \"p90\": {}, \"max\": {}}}, \
-             \"mean_event_us\": {{\"incremental\": {:.1}, \"full\": {:.1}}}}}",
-            c.scenario,
-            c.rate,
-            c.seed,
-            c.events,
-            c.live_final,
-            c.speedup_p10,
-            c.speedup_median,
-            c.speedup_p90,
-            c.halo_p50,
-            c.halo_p90,
-            c.halo_max,
-            c.mean_inc_us,
-            c.mean_full_us,
-        );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"hole_cycle\": {{\"scenario\": \"SpaceOneHole\", \"filler_nodes\": {}, \
-         \"groups\": {{\"initial\": {}, \"healed\": {}, \"reopened\": {}}}, \
-         \"boundary_count\": {{\"initial\": {}, \"healed\": {}, \"reopened\": {}}}}}",
-        cycle.filler_nodes,
-        cycle.groups_initial,
-        cycle.groups_healed,
-        cycle.groups_reopened,
-        cycle.boundary_initial,
-        cycle.boundary_healed,
-        cycle.boundary_reopened,
-    );
-    json.push_str("}\n");
-
-    let path = results_path(out, "churn_sweep.json");
-    std::fs::write(&path, &json).expect("sweep JSON is writable");
-    println!("wrote {}", path.display());
+    let cells = cells.iter().map(|c| {
+        obj([
+            ("scenario", c.scenario.into()),
+            ("rate", c.rate.into()),
+            ("seed", c.seed.into()),
+            ("events", c.events.into()),
+            ("live_final", c.live_final.into()),
+            (
+                "speedup",
+                obj([
+                    ("p10", fixed(c.speedup_p10, 3)),
+                    ("median", fixed(c.speedup_median, 3)),
+                    ("p90", fixed(c.speedup_p90, 3)),
+                ]),
+            ),
+            (
+                "halo",
+                obj([
+                    ("p50", c.halo_p50.into()),
+                    ("p90", c.halo_p90.into()),
+                    ("max", c.halo_max.into()),
+                ]),
+            ),
+            (
+                "mean_event_us",
+                obj([("incremental", fixed(c.mean_inc_us, 1)), ("full", fixed(c.mean_full_us, 1))]),
+            ),
+        ])
+    });
+    let meta = obj([
+        ("experiment", "E16-churn".into()),
+        ("smoke", smoke.into()),
+        ("nodes", nodes.into()),
+        ("epochs", grid.epochs.into()),
+        ("coordinates", "ground-truth".into()),
+        ("exactness", "asserted on every event".into()),
+    ]);
+    let counts = |initial: usize, healed: usize, reopened: usize| {
+        obj([("initial", initial.into()), ("healed", healed.into()), ("reopened", reopened.into())])
+    };
+    let hole_cycle = obj([
+        ("scenario", "SpaceOneHole".into()),
+        ("filler_nodes", cycle.filler_nodes.into()),
+        ("groups", counts(cycle.groups_initial, cycle.groups_healed, cycle.groups_reopened)),
+        (
+            "boundary_count",
+            counts(cycle.boundary_initial, cycle.boundary_healed, cycle.boundary_reopened),
+        ),
+    ]);
+    let doc = obj([("meta", meta), ("cells", arr(cells)), ("hole_cycle", hole_cycle)]);
+    args.write_artifact("churn_sweep.json", &doc);
 }

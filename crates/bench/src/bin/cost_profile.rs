@@ -25,7 +25,7 @@
 //! cargo run --release -p ballfit-bench --bin cost_profile -- --smoke  # 2 rungs, small net
 //! cargo run --release -p ballfit-bench --bin cost_profile -- --trace t.jsonl --smoke
 //! cargo run --release -p ballfit-bench --bin cost_profile -- --validate out.json
-//! cargo run --release -p ballfit-bench --bin cost_profile -- --validate-trace t.jsonl
+//! cargo run --release -p ballfit-bench --bin cost_profile -- --validate t.jsonl
 //! ```
 //!
 //! Results land in `$BALLFIT_RESULTS/cost_profile.json` (or `results/`);
@@ -33,14 +33,12 @@
 //! (deterministic byte-for-byte, which `scripts/check.sh` pins with a
 //! `trace_diff` self-compare).
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
 use ballfit::protocols::{run_grouping_protocol, run_iff_protocol, run_ubf_protocol};
 use ballfit::view::NetView;
-use ballfit_bench::{loglog_slope, results_path, validate_and_exit};
+use ballfit_bench::{fixed, loglog_slope, Args};
+use ballfit_json::{arr, obj};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
@@ -182,31 +180,8 @@ fn profile_at_scale(density: f64, smoke: bool) -> ScaleRow {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.next().expect("--trace requires a path")));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            "--validate-trace" => {
-                let path = PathBuf::from(args.next().expect("--validate-trace requires a path"));
-                validate_and_exit(&path, true);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --out <path> / --trace <path> / \
-                 --validate <path> / --validate-trace <path>)"
-            ),
-        }
-    }
+    let args = Args::from_env("--smoke --out <path> --trace <path> --validate <path>");
+    let smoke = args.has("--smoke");
 
     let ladder: &[f64] = if smoke { &SMOKE_LADDER } else { &DEGREE_LADDER };
     eprintln!("cost profile: degree ladder {ladder:?}{}", if smoke { " (smoke)" } else { "" });
@@ -246,69 +221,58 @@ fn main() {
         scale_rows.iter().map(|r| (r.mean_degree, r.ball_tests_per_node)).collect();
     let at_scale_ball_slope = loglog_slope(&at_scale_points);
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    let _ = writeln!(
-        doc,
-        "  \"meta\": {{\"experiment\": \"E18-cost-profile\", \"smoke\": {smoke}, \
-         \"scenario\": \"SolidSphere\", \"seed\": {SEED}, \
-         \"claims\": {{\"ball_tests_expected\": \"Theta(rho^2)\", \
-         \"ball_tests_worst_case\": \"O(rho^3)\", \
-         \"ubf_msgs\": \"Theta(rho)\"}}}},"
-    );
-    doc.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            doc,
-            "    {{\"target_degree\": {:.1}, \"mean_degree\": {:.4}, \"nodes\": {}, \
-             \"edges\": {}, \"ball_tests_per_node\": {:.4}, \"ubf_msgs_per_node\": {:.4}, \
-             \"ubf_bytes_per_node\": {:.4}, \"iff_msgs_per_node\": {:.4}, \
-             \"grouping_msgs_per_node\": {:.4}}}",
-            r.target_degree,
-            r.mean_degree,
-            r.nodes,
-            r.edges,
-            r.ball_tests_per_node,
-            r.ubf_msgs_per_node,
-            r.ubf_bytes_per_node,
-            r.iff_msgs_per_node,
-            r.grouping_msgs_per_node
-        );
-        doc.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ],\n");
-    doc.push_str("  \"at_scale\": {\n    \"rows\": [\n");
-    for (i, r) in scale_rows.iter().enumerate() {
-        let _ = write!(
-            doc,
-            "      {{\"target_degree\": {:.1}, \"mean_degree\": {:.4}, \"nodes\": {}, \
-             \"edges\": {}, \"ball_tests_per_node\": {:.4}}}",
-            r.target_degree, r.mean_degree, r.nodes, r.edges, r.ball_tests_per_node
-        );
-        doc.push_str(if i + 1 < scale_rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(
-        doc,
-        "    ],\n    \"fits\": {{\"ball_tests_loglog_slope\": {at_scale_ball_slope:.4}}}\n  }},"
-    );
-    let _ = writeln!(
-        doc,
-        "  \"fits\": {{\"ball_tests_loglog_slope\": {ball_slope:.4}, \
-         \"ubf_msgs_loglog_slope\": {ubf_msg_slope:.4}, \
-         \"ubf_bytes_loglog_slope\": {ubf_byte_slope:.4}}}"
-    );
-    doc.push_str("}\n");
-
-    let path = results_path(out, "cost_profile.json");
-    std::fs::write(&path, &doc).expect("cost-profile JSON is writable");
-    println!("wrote {}", path.display());
+    let rows = rows.iter().map(|r| {
+        obj([
+            ("target_degree", fixed(r.target_degree, 1)),
+            ("mean_degree", fixed(r.mean_degree, 4)),
+            ("nodes", r.nodes.into()),
+            ("edges", r.edges.into()),
+            ("ball_tests_per_node", fixed(r.ball_tests_per_node, 4)),
+            ("ubf_msgs_per_node", fixed(r.ubf_msgs_per_node, 4)),
+            ("ubf_bytes_per_node", fixed(r.ubf_bytes_per_node, 4)),
+            ("iff_msgs_per_node", fixed(r.iff_msgs_per_node, 4)),
+            ("grouping_msgs_per_node", fixed(r.grouping_msgs_per_node, 4)),
+        ])
+    });
+    let scale_rows = scale_rows.iter().map(|r| {
+        obj([
+            ("target_degree", fixed(r.target_degree, 1)),
+            ("mean_degree", fixed(r.mean_degree, 4)),
+            ("nodes", r.nodes.into()),
+            ("edges", r.edges.into()),
+            ("ball_tests_per_node", fixed(r.ball_tests_per_node, 4)),
+        ])
+    });
+    let claims = obj([
+        ("ball_tests_expected", "Theta(rho^2)".into()),
+        ("ball_tests_worst_case", "O(rho^3)".into()),
+        ("ubf_msgs", "Theta(rho)".into()),
+    ]);
+    let meta = obj([
+        ("experiment", "E18-cost-profile".into()),
+        ("smoke", smoke.into()),
+        ("scenario", "SolidSphere".into()),
+        ("seed", SEED.into()),
+        ("claims", claims),
+    ]);
+    let at_scale = obj([
+        ("rows", arr(scale_rows)),
+        ("fits", obj([("ball_tests_loglog_slope", fixed(at_scale_ball_slope, 4))])),
+    ]);
+    let fits = obj([
+        ("ball_tests_loglog_slope", fixed(ball_slope, 4)),
+        ("ubf_msgs_loglog_slope", fixed(ubf_msg_slope, 4)),
+        ("ubf_bytes_loglog_slope", fixed(ubf_byte_slope, 4)),
+    ]);
+    let doc = obj([("meta", meta), ("rows", arr(rows)), ("at_scale", at_scale), ("fits", fits)]);
+    args.write_artifact("cost_profile.json", &doc);
     println!(
         "measured exponents: ball tests/node ~ rho^{ball_slope:.2}, \
          UBF msgs/node ~ rho^{ubf_msg_slope:.2}, UBF bytes/node ~ rho^{ubf_byte_slope:.2}; \
          at scale: ball tests/node ~ rho^{at_scale_ball_slope:.2}"
     );
-    if let Some(tp) = trace_out {
-        std::fs::write(&tp, &traces).expect("trace JSONL is writable");
-        println!("wrote trace {}", tp.display());
+    if let Some(tp) = args.value("--trace") {
+        std::fs::write(tp, &traces).expect("trace JSONL is writable");
+        println!("wrote trace {tp}");
     }
 }

@@ -12,7 +12,7 @@
 use ballfit::metrics::HopHistogram;
 use ballfit::Pipeline;
 use ballfit_bench::{
-    format_table, gallery_network, parallel_map, pct, write_csv, PAPER_ERROR_SWEEP,
+    format_table, gallery_network, parallel_map, pct, write_csv, Args, PAPER_ERROR_SWEEP,
 };
 use ballfit_netgen::scenario::Scenario;
 
@@ -35,11 +35,7 @@ fn add_hist(into: &mut HopHistogram, from: &HopHistogram) {
 }
 
 fn main() {
-    let seeds: u64 = std::env::args()
-        .skip_while(|a| a != "--seeds")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let seeds = Args::from_env("--seeds <n>").count("--seeds").unwrap_or(3) as u64;
 
     // Build every (scenario, seed) network once up front.
     let mut net_jobs = Vec::new();

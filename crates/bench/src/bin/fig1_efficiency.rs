@@ -10,11 +10,12 @@
 //! Figs. 1(h) and 1(i), which come from the same sweep.
 
 use ballfit_bench::{
-    error_sweep, fig1_network, fig1_network_small, format_table, pct, write_csv, PAPER_ERROR_SWEEP,
+    error_sweep, fig1_network, fig1_network_small, format_table, pct, write_csv, Args,
+    PAPER_ERROR_SWEEP,
 };
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    let small = Args::from_env("--small").has("--small");
     let model = if small { fig1_network_small(1) } else { fig1_network(1) };
     let stats = model.topology().degree_stats();
     println!(

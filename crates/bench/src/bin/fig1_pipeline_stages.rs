@@ -10,10 +10,10 @@
 use ballfit::config::{DetectorConfig, SurfaceConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::surface::SurfaceBuilder;
-use ballfit_bench::{export_mesh, fig1_network, fig1_network_small, format_table};
+use ballfit_bench::{export_mesh, fig1_network, fig1_network_small, format_table, Args};
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    let small = Args::from_env("--small").has("--small");
     let model = if small { fig1_network_small(1) } else { fig1_network(1) };
     println!(
         "network: {} nodes, avg degree {:.1}, scenario {} (expected boundaries: {})",

@@ -9,9 +9,10 @@
 //! cargo run --release -p ballfit-bench --bin fig_mistaken_distribution
 //! ```
 
-use ballfit_bench::{error_sweep, fig1_network_small, format_table, pct, PAPER_ERROR_SWEEP};
+use ballfit_bench::{error_sweep, fig1_network_small, format_table, pct, Args, PAPER_ERROR_SWEEP};
 
 fn main() {
+    Args::from_env("");
     let model = fig1_network_small(2);
     println!("network: {} nodes ({} boundary ground truth)", model.len(), model.surface_count());
     let sweep = error_sweep(&model, &PAPER_ERROR_SWEEP, 23);

@@ -3,11 +3,11 @@
 use ballfit::config::{DetectorConfig, SurfaceConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::surface::SurfaceBuilder;
-use ballfit_bench::{fig1_network, gallery_network};
+use ballfit_bench::{fig1_network, gallery_network, Args};
 use ballfit_netgen::scenario::Scenario;
 
 fn main() {
-    let model = if std::env::args().any(|a| a == "--fig1") {
+    let model = if Args::from_env("--fig1").has("--fig1") {
         fig1_network(1)
     } else {
         gallery_network(Scenario::SolidSphere, 77)

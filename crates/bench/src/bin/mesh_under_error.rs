@@ -10,11 +10,11 @@
 
 use ballfit::Pipeline;
 use ballfit_bench::{
-    export_mesh, fig1_network, fig1_network_small, format_table, parallel_map, write_csv,
+    export_mesh, fig1_network, fig1_network_small, format_table, parallel_map, write_csv, Args,
 };
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    let small = Args::from_env("--small").has("--small");
     let model = if small { fig1_network_small(4) } else { fig1_network(4) };
     println!("network: {} nodes", model.len());
     let shape = model.shape();

@@ -16,7 +16,7 @@ use ballfit::protocols::{
 };
 use ballfit::surface::SurfaceBuilder;
 use ballfit::view::NetView;
-use ballfit_bench::format_table;
+use ballfit_bench::{format_table, Args};
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::scenario::Scenario;
 use ballfit_obs::Trace;
@@ -24,6 +24,7 @@ use ballfit_wsn::faults::FaultPlan;
 use ballfit_wsn::flood::fragment_sizes;
 
 fn main() {
+    Args::from_env("");
     let model = NetworkBuilder::new(Scenario::SolidSphere)
         .surface_nodes(250)
         .interior_nodes(400)

@@ -10,12 +10,13 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use ballfit::Pipeline;
-use ballfit_bench::{gallery_network, results_dir};
+use ballfit_bench::{gallery_network, results_dir, Args};
 use ballfit_geom::svg::{OrthoCamera, SvgScene};
 use ballfit_geom::Vec3;
 use ballfit_netgen::scenario::Scenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    Args::from_env("");
     let camera = OrthoCamera::isometric();
     for &scenario in &Scenario::PAPER_GALLERY {
         let model = gallery_network(scenario, 42);

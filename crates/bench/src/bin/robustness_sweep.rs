@@ -9,8 +9,8 @@
 //! against the fault-free centralized detector: missing/mistaken boundary
 //! rates, grouping label agreement, landmark convergence and Jaccard
 //! similarity, and message overhead relative to the fault-free plain
-//! protocols. Results are emitted as JSON (hand-rolled — the sweep is
-//! dependency-free by design) into `$BALLFIT_RESULTS` or `results/`.
+//! protocols. Results are written as a JSON artifact into
+//! `$BALLFIT_RESULTS` or `results/`.
 //!
 //! ```sh
 //! cargo run --release -p ballfit-bench --bin robustness_sweep            # full grid
@@ -23,10 +23,10 @@
 //! byte-identical at every thread count. `--validate <path>` checks an
 //! emitted file for JSON well-formedness in-process and exits.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 
-use ballfit_bench::{results_path, validate_and_exit, Parallelism};
+use ballfit_bench::Args;
+use ballfit_json::{arr, obj, JsonValue};
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
@@ -100,13 +100,6 @@ fn boundary_rates(want: &[bool], got: &[bool], alive: &[bool]) -> (Option<f64>, 
     }
     let rate = |num: usize, den: usize| (den > 0).then(|| num as f64 / den as f64);
     (rate(missing, pos), rate(mistaken, neg))
-}
-
-fn json_opt(x: Option<f64>) -> String {
-    match x {
-        Some(v) if v.is_finite() => format!("{v}"),
-        _ => "null".to_string(),
-    }
 }
 
 struct CellResult {
@@ -276,42 +269,20 @@ fn baseline(
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.next().expect("--trace requires a path")));
-            }
-            "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                threads = Some(n.parse().expect("--threads requires a positive integer"));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --out <path> / --trace <path> / \
-                 --threads <n> / --validate <path>)"
-            ),
-        }
-    }
-    let parallelism = threads.map(Parallelism::threads).unwrap_or_default();
+    let args =
+        Args::from_env("--smoke --out <path> --trace <path> --threads <n> --validate <path>");
+    let smoke = args.has("--smoke");
+    let parallelism = args.parallelism();
 
     let model = reference_model(smoke);
     let cfg = DetectorConfig::paper(10, 3);
     let central = BoundaryDetector::new(cfg).with_parallelism(parallelism).detect(&model);
+    let trace_out = args.value("--trace");
     let mut trace = if trace_out.is_some() { Trace::enabled() } else { Trace::disabled() };
     let base = baseline(&model, &cfg, &central, &mut trace);
-    if let Some(tp) = &trace_out {
-        trace.write_jsonl(tp).expect("trace JSONL is writable");
-        println!("wrote trace {}", tp.display());
+    if let Some(tp) = trace_out {
+        trace.write_jsonl(Path::new(tp)).expect("trace JSONL is writable");
+        println!("wrote trace {tp}");
     }
     let grid = grid(smoke);
     let mut params = Vec::new();
@@ -343,63 +314,70 @@ fn main() {
             cell.loss,
             cell.crash_fraction,
             cell.seed,
-            json_opt(cell.ubf_missing),
-            json_opt(cell.ubf_mistaken),
-            json_opt(cell.iff_missing),
-            json_opt(cell.grouping_agreement),
-            json_opt(cell.landmark_jaccard),
+            JsonValue::from(cell.ubf_missing),
+            JsonValue::from(cell.ubf_mistaken),
+            JsonValue::from(cell.iff_missing),
+            JsonValue::from(cell.grouping_agreement),
+            JsonValue::from(cell.landmark_jaccard),
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"meta\": {{\"experiment\": \"E15-robustness\", \"smoke\": {smoke}, \
-         \"nodes\": {}, \"edges\": {}, \"duplication\": 0.05, \"max_delay\": 1, \
-         \"flood_repeats\": {FLOOD_REPEATS}}},",
-        model.len(),
-        model.topology().edge_count()
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline_messages\": {{\"ubf\": {}, \"iff\": {}, \"grouping\": {}}},",
-        base.ubf_msgs, base.iff_msgs, base.grouping_msgs
-    );
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"loss\": {}, \"crash_fraction\": {}, \"seed\": {}, \"crashed\": {}, \
-             \"ubf\": {{\"ok\": {}, \"missing\": {}, \"mistaken\": {}, \"overhead\": {}}}, \
-             \"iff\": {{\"missing\": {}, \"mistaken\": {}, \"overhead\": {}}}, \
-             \"grouping\": {{\"ok\": {}, \"agreement\": {}, \"overhead\": {}}}, \
-             \"landmark\": {{\"converged\": {}, \"jaccard\": {}}}, \
-             \"faults\": {{\"dropped\": {}, \"crash_lost\": {}}}}}",
-            c.loss,
-            c.crash_fraction,
-            c.seed,
-            c.crashed,
-            c.ubf_ok,
-            json_opt(c.ubf_missing),
-            json_opt(c.ubf_mistaken),
-            json_opt(c.ubf_overhead),
-            json_opt(c.iff_missing),
-            json_opt(c.iff_mistaken),
-            json_opt(c.iff_overhead),
-            c.grouping_ok,
-            json_opt(c.grouping_agreement),
-            json_opt(c.grouping_overhead),
-            c.landmark_converged,
-            json_opt(c.landmark_jaccard),
-            c.dropped,
-            c.crash_lost,
-        );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = results_path(out, "robustness_sweep.json");
-    std::fs::write(&path, &json).expect("sweep JSON is writable");
-    println!("wrote {}", path.display());
+    let cells = cells.iter().map(|c| {
+        obj([
+            ("loss", c.loss.into()),
+            ("crash_fraction", c.crash_fraction.into()),
+            ("seed", c.seed.into()),
+            ("crashed", c.crashed.into()),
+            (
+                "ubf",
+                obj([
+                    ("ok", c.ubf_ok.into()),
+                    ("missing", c.ubf_missing.into()),
+                    ("mistaken", c.ubf_mistaken.into()),
+                    ("overhead", c.ubf_overhead.into()),
+                ]),
+            ),
+            (
+                "iff",
+                obj([
+                    ("missing", c.iff_missing.into()),
+                    ("mistaken", c.iff_mistaken.into()),
+                    ("overhead", c.iff_overhead.into()),
+                ]),
+            ),
+            (
+                "grouping",
+                obj([
+                    ("ok", c.grouping_ok.into()),
+                    ("agreement", c.grouping_agreement.into()),
+                    ("overhead", c.grouping_overhead.into()),
+                ]),
+            ),
+            (
+                "landmark",
+                obj([
+                    ("converged", c.landmark_converged.into()),
+                    ("jaccard", c.landmark_jaccard.into()),
+                ]),
+            ),
+            ("faults", obj([("dropped", c.dropped.into()), ("crash_lost", c.crash_lost.into())])),
+        ])
+    });
+    let meta = obj([
+        ("experiment", "E15-robustness".into()),
+        ("smoke", smoke.into()),
+        ("nodes", model.len().into()),
+        ("edges", model.topology().edge_count().into()),
+        ("duplication", 0.05.into()),
+        ("max_delay", 1u32.into()),
+        ("flood_repeats", FLOOD_REPEATS.into()),
+    ]);
+    let baseline_messages = obj([
+        ("ubf", base.ubf_msgs.into()),
+        ("iff", base.iff_msgs.into()),
+        ("grouping", base.grouping_msgs.into()),
+    ]);
+    let doc =
+        obj([("meta", meta), ("baseline_messages", baseline_messages), ("cells", arr(cells))]);
+    args.write_artifact("robustness_sweep.json", &doc);
 }

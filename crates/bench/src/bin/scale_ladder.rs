@@ -33,14 +33,13 @@
 //! in the report — structure, degrees, boundary counts, ball tests — is
 //! deterministic by construction.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::BoundaryDetector;
-use ballfit_bench::{loglog_slope, results_path, validate_and_exit};
+use ballfit_bench::{fixed, loglog_slope, Args};
+use ballfit_json::{arr, obj, JsonValue};
 use ballfit_netgen::builder::{NetworkBuilder, Placement};
 use ballfit_netgen::scenario::Scenario;
 
@@ -136,63 +135,37 @@ fn run_rung(scenario: Scenario, n: usize, deterministic: bool) {
     let candidates = detection.candidates.iter().filter(|&&b| b).count();
     let (build_ms, detect_ms, rss) =
         if deterministic { (0.0, 0.0, 0.0) } else { (build_ms, detect_ms, peak_rss_mb()) };
-    println!(
-        "{{\"scenario\": \"{}\", \"n\": {}, \"surface_nodes\": {}, \"interior_nodes\": {}, \
-         \"radio_range\": {:.6}, \"mean_degree\": {:.4}, \"edges\": {}, \"arena_slots\": {}, \
-         \"candidates\": {}, \"boundary_nodes\": {}, \"groups\": {}, \"balls_tested\": {}, \
-         \"build_wall_ms\": {:.2}, \"detect_wall_ms\": {:.2}, \"total_wall_ms\": {:.2}, \
-         \"peak_rss_mb\": {:.2}}}",
-        scenario.name(),
-        n,
-        surface,
-        n - surface,
-        range,
-        topo.degree_stats().mean,
-        topo.edge_count(),
-        topo.arena_slots(),
-        candidates,
-        boundary,
-        detection.groups.len(),
-        detection.balls_tested,
-        build_ms,
-        detect_ms,
-        build_ms + detect_ms,
-        rss,
-    );
+    let row = obj([
+        ("scenario", scenario.name().into()),
+        ("n", n.into()),
+        ("surface_nodes", surface.into()),
+        ("interior_nodes", (n - surface).into()),
+        ("radio_range", fixed(range, 6)),
+        ("mean_degree", fixed(topo.degree_stats().mean, 4)),
+        ("edges", topo.edge_count().into()),
+        ("arena_slots", topo.arena_slots().into()),
+        ("candidates", candidates.into()),
+        ("boundary_nodes", boundary.into()),
+        ("groups", detection.groups.len().into()),
+        ("balls_tested", detection.balls_tested.into()),
+        ("build_wall_ms", fixed(build_ms, 2)),
+        ("detect_wall_ms", fixed(detect_ms, 2)),
+        ("total_wall_ms", fixed(build_ms + detect_ms, 2)),
+        ("peak_rss_mb", fixed(rss, 2)),
+    ]);
+    println!("{row}");
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut deterministic = false;
-    let mut out: Option<PathBuf> = None;
-    let mut rung: Option<(Scenario, usize)> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--deterministic" => deterministic = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--rung" => {
-                let name = args.next().expect("--rung requires a scenario name");
-                let scenario =
-                    Scenario::by_name(&name).unwrap_or_else(|| panic!("unknown scenario {name:?}"));
-                let n: usize =
-                    args.next().expect("--rung requires a node count").parse().expect("usize");
-                rung = Some((scenario, n));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --deterministic / --out <path> / \
-                 --rung <scenario> <n> / --validate <path>)"
-            ),
-        }
-    }
-
-    if let Some((scenario, n)) = rung {
-        run_rung(scenario, n, deterministic);
+    let args = Args::from_env(
+        "--smoke --deterministic --out <path> --rung <scenario> <n> --validate <path>",
+    );
+    let smoke = args.has("--smoke");
+    let deterministic = args.has("--deterministic");
+    if let Some([name, n]) = args.values("--rung") {
+        let scenario =
+            Scenario::by_name(name).unwrap_or_else(|| panic!("unknown scenario {name:?}"));
+        run_rung(scenario, n.parse().expect("a positive node count"), deterministic);
         return;
     }
 
@@ -204,9 +177,9 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let mut rows: Vec<String> = Vec::new();
-    let mut fits = String::new();
-    for (si, &scenario) in SCENARIOS.iter().enumerate() {
+    let mut rows = Vec::new();
+    let mut fits = Vec::new();
+    for &scenario in &SCENARIOS {
         let mut wall_points = Vec::new();
         let mut rss_points = Vec::new();
         for &n in ladder {
@@ -223,12 +196,10 @@ fn main() {
                 String::from_utf8_lossy(&output.stderr)
             );
             let row = String::from_utf8(output.stdout).expect("utf8 row");
-            let row = row.trim().to_string();
-            let parsed = ballfit_json::parse(&row).unwrap_or_else(|e| panic!("bad row {row}: {e}"));
+            let row = ballfit_json::parse(&row).unwrap_or_else(|e| panic!("bad row {row}: {e}"));
             let field = |key: &str| {
-                parsed
-                    .get(key)
-                    .and_then(ballfit_json::JsonValue::as_f64)
+                row.get(key)
+                    .and_then(JsonValue::as_f64)
                     .unwrap_or_else(|| panic!("row missing number {key}: {row}"))
             };
             eprintln!(
@@ -248,16 +219,8 @@ fn main() {
         } else {
             (loglog_slope(&wall_points), loglog_slope(&rss_points))
         };
-        let _ = write!(
-            fits,
-            "\"{0}_wall_loglog_slope\": {1:.4}, \"{0}_rss_loglog_slope\": {2:.4}",
-            scenario.name(),
-            wall_slope,
-            rss_slope
-        );
-        if si + 1 < SCENARIOS.len() {
-            fits.push_str(", ");
-        }
+        fits.push((format!("{}_wall_loglog_slope", scenario.name()), fixed(wall_slope, 4)));
+        fits.push((format!("{}_rss_loglog_slope", scenario.name()), fixed(rss_slope, 4)));
         if !deterministic {
             eprintln!(
                 "  {}: wall ~ n^{wall_slope:.2}, peak RSS ~ n^{rss_slope:.2}",
@@ -266,25 +229,15 @@ fn main() {
         }
     }
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    let _ = writeln!(
-        doc,
-        "  \"meta\": {{\"experiment\": \"E21-scale-ladder\", \"smoke\": {smoke}, \
-         \"deterministic\": {deterministic}, \"seed\": {SEED}, \
-         \"target_degree\": {TARGET_DEGREE}, \"base_rung\": {BASE_N}, \
-         \"scenarios\": [\"sphere\", \"one_hole\"]}},"
-    );
-    doc.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(doc, "    {row}");
-        doc.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ],\n");
-    let _ = writeln!(doc, "  \"fits\": {{{fits}}}");
-    doc.push_str("}\n");
-
-    let path = results_path(out, "scale_ladder.json");
-    std::fs::write(&path, &doc).expect("scale-ladder JSON is writable");
-    println!("wrote {}", path.display());
+    let meta = obj([
+        ("experiment", "E21-scale-ladder".into()),
+        ("smoke", smoke.into()),
+        ("deterministic", deterministic.into()),
+        ("seed", SEED.into()),
+        ("target_degree", TARGET_DEGREE.into()),
+        ("base_rung", BASE_N.into()),
+        ("scenarios", arr(SCENARIOS.map(|s| s.name()))),
+    ]);
+    let doc = obj([("meta", meta), ("rows", JsonValue::Arr(rows)), ("fits", JsonValue::Obj(fits))]);
+    args.write_artifact("scale_ladder.json", &doc);
 }

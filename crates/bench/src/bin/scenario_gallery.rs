@@ -9,10 +9,13 @@
 //! Emits `results/gallery.csv` and one OBJ mesh per boundary.
 
 use ballfit::Pipeline;
-use ballfit_bench::{export_mesh, format_table, gallery_network, parallel_map, pct, write_csv};
+use ballfit_bench::{
+    export_mesh, format_table, gallery_network, parallel_map, pct, write_csv, Args,
+};
 use ballfit_netgen::scenario::Scenario;
 
 fn main() {
+    Args::from_env("");
     let runs = parallel_map(Scenario::PAPER_GALLERY.to_vec(), |&scenario| {
         let model = gallery_network(scenario, 42);
         let result = Pipeline::paper(10, 7).run(&model);

@@ -25,10 +25,8 @@
 //! the response bytes are independent of the worker count — which is
 //! exactly what the built-in identity assertion re-proves on every run.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use ballfit_bench::{results_path, validate_and_exit, Parallelism};
+use ballfit_bench::{Args, Parallelism};
+use ballfit_json::{arr, obj};
 
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::churn::ChurnDriver;
@@ -164,33 +162,9 @@ fn percentile(sorted: &[usize], p: f64) -> usize {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                threads = Some(n.parse().expect("--threads requires a positive integer"));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            "--validate-log" => {
-                let path = PathBuf::from(args.next().expect("--validate-log requires a path"));
-                validate_and_exit(&path, true);
-            }
-            other => panic!(
-                "unknown argument {other} (expected --smoke / --out <path> / --threads <n> / \
-                 --validate <path> / --validate-log <path>)"
-            ),
-        }
-    }
-    let parallelism = threads.map(Parallelism::threads).unwrap_or_default();
+    let args = Args::from_env("--smoke --out <path> --threads <n> --validate <path>");
+    let smoke = args.has("--smoke");
+    let parallelism = args.parallelism();
     let cores = Parallelism::available().get();
 
     let spec = load(smoke);
@@ -260,56 +234,44 @@ fn main() {
     let injects: usize = rows.iter().map(|r| r.injects).sum();
     let exact: usize = rows.iter().map(|r| r.inject_exact).sum();
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    let _ = writeln!(
-        doc,
-        "  \"meta\": {{\"experiment\": \"E20-serve-load\", \"smoke\": {smoke}, \
-         \"instances\": {}, \"epochs\": {}, \"requests\": {}, \
-         \"surface\": {}, \"interior\": {}, \
-         \"available_parallelism\": {cores}, \
-         \"determinism\": \"pooled response log byte-identical to sequential, asserted per run\"}},",
-        spec.instances,
-        spec.epochs,
-        log.len(),
-        spec.surface,
-        spec.interior
-    );
-    doc.push_str("  \"instances\": [\n");
-    for (i, (id, row)) in ids.iter().zip(&rows).enumerate() {
-        let _ = write!(
-            doc,
-            "    {{\"id\": \"{id}\", \"nodes\": {}, \"live\": {}, \"boundary\": {}, \
-             \"groups\": {}, \"epochs\": {}, \"events_applied\": {}, \"balls\": {}, \
-             \"injects\": {}, \"inject_exact\": {}, \"messages\": {}, \"bytes\": {}}}",
-            row.nodes,
-            row.live,
-            row.boundary,
-            row.groups,
-            row.epochs,
-            row.applied,
-            row.balls,
-            row.injects,
-            row.inject_exact,
-            row.messages,
-            row.bytes,
-        );
-        doc.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ],\n");
-    let _ = writeln!(
-        doc,
-        "  \"aggregate\": {{\"injects\": {injects}, \"inject_exact\": {exact}, \
-         \"inject_rounds_p50\": {}, \"inject_rounds_p99\": {}, \
-         \"events_applied\": {}, \"balls\": {}}}",
-        percentile(&all_rounds, 50.0),
-        percentile(&all_rounds, 99.0),
-        rows.iter().map(|r| r.applied).sum::<usize>(),
-        rows.iter().map(|r| r.balls).sum::<u64>(),
-    );
-    doc.push_str("}\n");
-
-    let path = results_path(out, "serve_load.json");
-    std::fs::write(&path, &doc).expect("load JSON is writable");
-    println!("wrote {}", path.display());
+    let meta = obj([
+        ("experiment", "E20-serve-load".into()),
+        ("smoke", smoke.into()),
+        ("instances", spec.instances.into()),
+        ("epochs", spec.epochs.into()),
+        ("requests", log.len().into()),
+        ("surface", spec.surface.into()),
+        ("interior", spec.interior.into()),
+        ("available_parallelism", cores.into()),
+        (
+            "determinism",
+            "pooled response log byte-identical to sequential, asserted per run".into(),
+        ),
+    ]);
+    let instances = ids.iter().zip(&rows).map(|(id, row)| {
+        obj([
+            ("id", id.as_str().into()),
+            ("nodes", row.nodes.into()),
+            ("live", row.live.into()),
+            ("boundary", row.boundary.into()),
+            ("groups", row.groups.into()),
+            ("epochs", row.epochs.into()),
+            ("events_applied", row.applied.into()),
+            ("balls", row.balls.into()),
+            ("injects", row.injects.into()),
+            ("inject_exact", row.inject_exact.into()),
+            ("messages", row.messages.into()),
+            ("bytes", row.bytes.into()),
+        ])
+    });
+    let aggregate = obj([
+        ("injects", injects.into()),
+        ("inject_exact", exact.into()),
+        ("inject_rounds_p50", percentile(&all_rounds, 50.0).into()),
+        ("inject_rounds_p99", percentile(&all_rounds, 99.0).into()),
+        ("events_applied", rows.iter().map(|r| r.applied).sum::<usize>().into()),
+        ("balls", rows.iter().map(|r| r.balls).sum::<u64>().into()),
+    ]);
+    let doc = obj([("meta", meta), ("instances", arr(instances)), ("aggregate", aggregate)]);
+    args.write_artifact("serve_load.json", &doc);
 }

@@ -23,17 +23,15 @@
 //! every count measures ~1×. The JSON records `available_parallelism` so
 //! a reader can tell a scaling failure from a core-starved machine.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 use ballfit::config::DetectorConfig;
 use ballfit::detector::{BoundaryDetection, BoundaryDetector};
 use ballfit::localizer::{neighborhood_frame_view, neighborhood_frames_view, NeighborhoodFrame};
 use ballfit::view::NetView;
-use ballfit_bench::{
-    fig1_network, fig1_network_small, results_path, validate_and_exit, Parallelism,
-};
+use ballfit_bench::{fig1_network, fig1_network_small, fixed, Args, Parallelism};
+use ballfit_json::{arr, obj, JsonValue};
 use ballfit_netgen::model::NetworkModel;
 
 /// Thread-count ladder of the acceptance criterion.
@@ -100,15 +98,9 @@ fn frame_bits(frame: &Option<NeighborhoodFrame>) -> Option<(Vec<usize>, usize, V
     })
 }
 
-struct FramesRow {
-    frames: usize,
-    per_node_secs: f64,
-    batched_secs: f64,
-}
-
 /// One thread: every node's local-MDS frame one at a time against the
 /// batched lane groups, bits asserted equal on every run.
-fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> FramesRow {
+fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> JsonValue {
     let view = NetView::from_model(model);
     let (source, k) = (&cfg.coordinates, cfg.ubf.witness_hops);
     let nodes: Vec<usize> = (0..model.len()).collect();
@@ -140,49 +132,32 @@ fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> FramesRow {
         "  frames, threads=1: one at a time {per_node_secs:.3}s, lane groups {batched_secs:.3}s \
          ({frames} frames, bit-identical)"
     );
-    FramesRow { frames, per_node_secs, batched_secs }
+    obj([
+        ("threads", 1u32.into()),
+        ("config", "paper(10, 7)".into()),
+        ("frames", frames.into()),
+        ("per_node_secs", fixed(per_node_secs, 6)),
+        ("batched_secs", fixed(batched_secs, 6)),
+        ("speedup", fixed(per_node_secs / batched_secs, 3)),
+        ("bits", "identical, asserted per run".into()),
+    ])
 }
 
-fn push_rows(doc: &mut String, key: &str, rows: &[Row]) {
+/// A thread ladder's rows, with speedups against its one-thread run.
+fn ladder_rows(rows: &[Row]) -> JsonValue {
     let base = rows[0].best_secs;
-    let _ = writeln!(doc, "  \"{key}\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            doc,
-            "    {{\"threads\": {}, \"best_secs\": {:.6}, \"speedup_vs_1\": {:.3}}}",
-            r.threads,
-            r.best_secs,
-            base / r.best_secs
-        );
-        doc.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ],\n");
+    arr(rows.iter().map(|r| {
+        obj([
+            ("threads", r.threads.into()),
+            ("best_secs", fixed(r.best_secs, 6)),
+            ("speedup_vs_1", fixed(base / r.best_secs, 3)),
+        ])
+    }))
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--trace" => {
-                trace_out = Some(PathBuf::from(args.next().expect("--trace requires a path")));
-            }
-            "--validate" => {
-                let path = PathBuf::from(args.next().expect("--validate requires a path"));
-                validate_and_exit(&path, false);
-            }
-            other => {
-                panic!(
-                    "unknown argument {other} (expected --smoke / --out <path> / \
-                     --trace <path> / --validate <path>)"
-                )
-            }
-        }
-    }
+    let args = Args::from_env("--smoke --out <path> --trace <path> --validate <path>");
+    let smoke = args.has("--smoke");
 
     let model = if smoke { fig1_network_small(42) } else { fig1_network(42) };
     let cores = Parallelism::available().get();
@@ -196,45 +171,33 @@ fn main() {
     let paper_rows = sweep(&model, paper, "paper(10, 7)", &THREAD_LADDER);
     let frames = frames_row(&model, paper);
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    let _ = writeln!(
-        doc,
-        "  \"meta\": {{\"experiment\": \"E17-ubf-thread-scaling\", \"smoke\": {smoke}, \
-         \"nodes\": {}, \"edges\": {}, \"reps\": {REPS}, \
-         \"available_parallelism\": {cores}, \
-         \"rows\": \"DetectorConfig::default (known coordinates)\", \
-         \"paper_rows\": \"DetectorConfig::paper(10, 7) (local-MDS frames in lane groups)\", \
-         \"determinism\": \"byte-identical to sequential, asserted per run\"}},",
-        model.len(),
-        model.topology().edge_count()
-    );
-    push_rows(&mut doc, "rows", &rows);
-    push_rows(&mut doc, "paper_rows", &paper_rows);
-    let _ = writeln!(
-        doc,
-        "  \"frames\": {{\"threads\": 1, \"config\": \"paper(10, 7)\", \"frames\": {}, \
-         \"per_node_secs\": {:.6}, \"batched_secs\": {:.6}, \"speedup\": {:.3}, \
-         \"bits\": \"identical, asserted per run\"}}",
-        frames.frames,
-        frames.per_node_secs,
-        frames.batched_secs,
-        frames.per_node_secs / frames.batched_secs
-    );
-    doc.push_str("}\n");
+    let meta = obj([
+        ("experiment", "E17-ubf-thread-scaling".into()),
+        ("smoke", smoke.into()),
+        ("nodes", model.len().into()),
+        ("edges", model.topology().edge_count().into()),
+        ("reps", REPS.into()),
+        ("available_parallelism", cores.into()),
+        ("rows", "DetectorConfig::default (known coordinates)".into()),
+        ("paper_rows", "DetectorConfig::paper(10, 7) (local-MDS frames in lane groups)".into()),
+        ("determinism", "byte-identical to sequential, asserted per run".into()),
+    ]);
+    let doc = obj([
+        ("meta", meta),
+        ("rows", ladder_rows(&rows)),
+        ("paper_rows", ladder_rows(&paper_rows)),
+        ("frames", frames),
+    ]);
+    args.write_artifact("ubf_scaling.json", &doc);
 
-    let path = results_path(out, "ubf_scaling.json");
-    std::fs::write(&path, &doc).expect("scaling JSON is writable");
-    println!("wrote {}", path.display());
-
-    if let Some(tp) = trace_out {
+    if let Some(tp) = args.value("--trace") {
         // One traced sequential detection: the trace is byte-identical
         // at every thread count, so one representative run suffices.
         let mut trace = ballfit_obs::Trace::enabled();
         BoundaryDetector::new(DetectorConfig::default())
             .with_parallelism(Parallelism::sequential())
             .detect_view_traced(&NetView::from_model(&model), &mut trace);
-        trace.write_jsonl(&tp).expect("trace JSONL is writable");
-        println!("wrote trace {}", tp.display());
+        trace.write_jsonl(Path::new(tp)).expect("trace JSONL is writable");
+        println!("wrote trace {tp}");
     }
 }

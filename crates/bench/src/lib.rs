@@ -8,8 +8,9 @@
 //! evaluation (see `DESIGN.md`'s experiment index, E1–E12) plus ablations.
 //! This library hosts what they share: standard network configurations,
 //! the error-sweep driver, a deterministic parallel map (re-exported from
-//! `ballfit-par`), the `--validate*` checks for the sweep outputs, CSV
-//! emission and console tables.
+//! `ballfit-par`), the flag parser ([`Args`]), the `--validate` check and
+//! the JSON artifact writer for the sweep outputs, CSV emission and
+//! console tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +21,7 @@ use std::path::{Path, PathBuf};
 
 use ballfit::metrics::DetectionStats;
 use ballfit::Pipeline;
+use ballfit_json::JsonValue;
 use ballfit_netgen::builder::NetworkBuilder;
 use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
@@ -107,10 +109,101 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Where a sweep bin writes its JSON: the `--out` path when given,
-/// else `name` inside [`results_dir`].
-pub fn results_path(out: Option<PathBuf>, name: &str) -> PathBuf {
-    out.unwrap_or_else(|| results_dir().join(name))
+/// A bin's command line, parsed against the bin's usage line: its flags,
+/// each followed by its value placeholders, e.g. `"--smoke --out <path>
+/// --rung <scenario> <n>"`. A `<n>` value must be a positive integer. An
+/// undeclared flag, a missing value or a malformed `<n>` is a usage error.
+#[derive(Debug)]
+pub struct Args {
+    given: Vec<(&'static str, Vec<String>)>,
+}
+
+impl Args {
+    /// Parses the process arguments against `usage`; a usage error
+    /// prints the declared flags and exits with status 2, so a bin that
+    /// takes no flags calls `Args::from_env("")` to refuse any. A declared
+    /// `--validate <path>` checks the file and exits
+    /// ([`validate_and_exit`]).
+    pub fn from_env(usage: &'static str) -> Args {
+        let args = Args::parse(usage, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\nflags: {}", if usage.is_empty() { "none" } else { usage });
+            std::process::exit(2)
+        });
+        if let Some(path) = args.value("--validate") {
+            validate_and_exit(Path::new(path));
+        }
+        args
+    }
+
+    /// Parses `args` against `usage` (see [`Args`]).
+    fn parse(usage: &'static str, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut given = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut decl = usage.split(' ').skip_while(|w| *w != arg);
+            let flag = decl
+                .next()
+                .filter(|w| w.starts_with("--"))
+                .ok_or_else(|| format!("unknown flag {arg:?}"))?;
+            let mut values = Vec::new();
+            for placeholder in decl.take_while(|w| w.starts_with('<')) {
+                let value = args.next().ok_or_else(|| format!("{flag} requires {placeholder}"))?;
+                if placeholder == "<n>" && !value.parse::<usize>().is_ok_and(|n| n > 0) {
+                    return Err(format!("{flag} requires a positive integer, got {value:?}"));
+                }
+                values.push(value);
+            }
+            given.push((flag, values));
+        }
+        Ok(Args { given })
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.values(flag).is_some()
+    }
+
+    /// The values given with `flag`; the last occurrence wins.
+    pub fn values(&self, flag: &str) -> Option<&[String]> {
+        self.given.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_slice())
+    }
+
+    /// The first value given with `flag`.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values(flag).and_then(<[String]>::first).map(String::as_str)
+    }
+
+    /// The value of a `<n>` flag.
+    pub fn count(&self, flag: &str) -> Option<usize> {
+        self.value(flag).and_then(|v| v.parse().ok())
+    }
+
+    /// `--threads <n>` workers, else [`Parallelism::default`].
+    pub fn parallelism(&self) -> Parallelism {
+        self.count("--threads").map(Parallelism::threads).unwrap_or_default()
+    }
+
+    /// Writes `doc` in the artifact layout ([`JsonValue::to_artifact`])
+    /// to the `--out` path, else to `name` in [`results_dir`], and prints
+    /// the path.
+    ///
+    /// # Panics
+    ///
+    /// Panics on I/O errors.
+    pub fn write_artifact(&self, name: &str, doc: &JsonValue) {
+        let path = self.value("--out").map_or_else(|| results_dir().join(name), PathBuf::from);
+        std::fs::write(&path, doc.to_artifact()).expect("JSON artifact is writable");
+        println!("wrote {}", path.display());
+    }
+}
+
+/// `v` with `places` decimals as a raw number token (`fixed(1.0, 4)` is
+/// `1.0000`); `None` or a non-finite value is `null`.
+pub fn fixed(v: impl Into<Option<f64>>, places: usize) -> JsonValue {
+    match v.into() {
+        Some(v) if v.is_finite() => JsonValue::Num(format!("{v:.places$}")),
+        _ => JsonValue::Null,
+    }
 }
 
 /// Writes a CSV file into the results directory.
@@ -210,22 +303,26 @@ pub fn validate_jsonl(src: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads `path` and checks it with [`validate_jsonl`] (`jsonl = true`)
-/// or [`validate_json`]; errors name the file.
-pub fn validate_file(path: &Path, jsonl: bool) -> Result<(), String> {
+/// Reads `path` and checks it with [`validate_jsonl`] when the path
+/// ends in `.jsonl`, else with [`validate_json`]; errors name the file.
+/// Returns the format checked.
+pub fn validate_file(path: &Path) -> Result<&'static str, String> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let verdict = if jsonl { validate_jsonl(&src) } else { validate_json(&src) };
+    let verdict = if path.extension().is_some_and(|e| e == "jsonl") {
+        validate_jsonl(&src).map(|()| "JSONL")
+    } else {
+        validate_json(&src).map(|()| "JSON")
+    };
     verdict.map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Runs a bin's `--validate` (`jsonl = false`) or `--validate-log` /
-/// `--validate-trace` (`jsonl = true`) flag on `path`: prints the verdict
-/// and exits 0 when the file is valid, 1 otherwise.
-pub fn validate_and_exit(path: &Path, jsonl: bool) -> ! {
-    match validate_file(path, jsonl) {
-        Ok(()) => {
-            println!("{}: valid {}", path.display(), if jsonl { "JSONL" } else { "JSON" });
+/// Runs a bin's `--validate` flag on `path` ([`validate_file`]): prints
+/// the verdict and exits 0 when the file is valid, 1 otherwise.
+pub fn validate_and_exit(path: &Path) -> ! {
+    match validate_file(path) {
+        Ok(format) => {
+            println!("{}: valid {format}", path.display());
             std::process::exit(0)
         }
         Err(e) => {
@@ -257,15 +354,66 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let good = dir.join("good.json");
         std::fs::write(&good, "{\"ok\": true}\n").unwrap();
-        assert!(validate_file(&good, false).is_ok());
+        assert_eq!(validate_file(&good), Ok("JSON"));
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{\"ok\": }\n").unwrap();
-        assert!(validate_file(&bad, false).is_err());
+        assert!(validate_file(&bad).is_err());
+        let lines = "{\"seq\":0}\n{\"seq\":1}\n";
         let log = dir.join("log.jsonl");
-        std::fs::write(&log, "{\"seq\":0}\n{\"seq\":1}\n").unwrap();
-        assert!(validate_file(&log, true).is_ok());
-        assert!(validate_file(&log, false).is_err(), "two values are not one JSON document");
-        assert!(validate_file(&dir.join("missing.json"), false).is_err());
+        std::fs::write(&log, lines).unwrap();
+        assert_eq!(validate_file(&log), Ok("JSONL"), "a .jsonl path is read line by line");
+        let doc = dir.join("log.json");
+        std::fs::write(&doc, lines).unwrap();
+        assert!(validate_file(&doc).is_err(), "two values are not one JSON document");
+        std::fs::write(&log, "{\"seq\":0}\n{broken\n").unwrap();
+        let err = validate_file(&log).unwrap_err();
+        assert!(err.contains("line 2:"), "JSONL errors name the line: {err}");
+        assert!(validate_file(&dir.join("missing.json")).is_err());
+    }
+
+    #[test]
+    fn args_accept_only_declared_flags_with_their_values() {
+        const USAGE: &str = "--smoke --out <path> --rung <scenario> <n> --threads <n>";
+        let parse = |args: &[&str]| Args::parse(USAGE, args.iter().map(|a| a.to_string()));
+        let args = parse(&["--rung", "sphere", "1000", "--smoke", "--threads", "2"]).unwrap();
+        assert!(args.has("--smoke") && !args.has("--out"));
+        assert_eq!(args.values("--rung"), Some(&["sphere".to_string(), "1000".to_string()][..]));
+        assert_eq!(args.parallelism().get(), 2);
+        assert_eq!(parse(&["--out", "a", "--out", "b"]).unwrap().value("--out"), Some("b"));
+        for (bad, why) in [
+            (&["--trace", "t.jsonl"][..], "unknown flag \"--trace\""),
+            (&["<path>"][..], "unknown flag \"<path>\""),
+            (&["--out"][..], "--out requires <path>"),
+            (&["--rung", "sphere"][..], "--rung requires <n>"),
+            (&["--threads", "0"][..], "--threads requires a positive integer, got \"0\""),
+            (&["--threads", "abc"][..], "--threads requires a positive integer, got \"abc\""),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), why);
+        }
+    }
+
+    #[test]
+    fn fixed_keeps_its_decimals_and_nulls_what_it_cannot_write() {
+        assert_eq!(fixed(1.0, 4).to_string(), "1.0000");
+        assert_eq!(fixed(Some(0.123456789), 6).to_string(), "0.123457");
+        assert_eq!(fixed(None, 4), JsonValue::Null);
+        assert_eq!(fixed(f64::NAN, 4), JsonValue::Null);
+    }
+
+    #[test]
+    fn committed_artifacts_are_fixed_points_of_the_writer() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let tree = ballfit_json::parse(&text).unwrap();
+                assert!(tree.to_artifact() == text, "{} is not in artifact layout", path.display());
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 9, "the eight bench artifacts and the lint baseline");
     }
 
     #[test]

@@ -41,8 +41,10 @@
 #   6. churn_sweep --smoke      incremental-vs-full churn sweep emits
 #                               valid JSON (exactness asserted per event)
 #   7. cost_profile --smoke     traced cost profile emits valid JSON and a
-#                               valid JSONL trace; a second run plus
-#                               trace_diff pins the trace byte-identical
+#                               valid JSONL trace (--validate reads a
+#                               .jsonl path line by line); a second run
+#                               plus trace_diff pins the trace
+#                               byte-identical
 #   8. chaos_sweep --smoke      combined fault+churn chaos sweep emits
 #                               valid JSON (adaptive recovery exercised;
 #                               outcomes graded by the watchdog)
@@ -53,8 +55,10 @@
 #                               scene with no surface nodes must answer
 #                               bad-scene and its zero-degree scene
 #                               bad-request, and the daemon must keep
-#                               serving (a panic exits non-zero); then
-#                               serve_load --smoke emits valid JSON
+#                               serving (a panic exits non-zero; the
+#                               JSONL check is serve_load --validate on
+#                               the .jsonl log); then serve_load --smoke
+#                               emits valid JSON
 #  10. scale_ladder --smoke     CSR scaling ladder (small rungs, one
 #                               subprocess per rung) emits valid JSON;
 #                               two --deterministic runs must be
@@ -144,7 +148,7 @@ cargo run -q --release -p ballfit-bench --bin churn_sweep -- --validate "$SMOKE_
 step "cost_profile --smoke (traced cost profile + trace determinism)"
 BALLFIT_RESULTS="$SMOKE_DIR" cargo run -q --release -p ballfit-bench --bin cost_profile -- --smoke --trace "$SMOKE_DIR/cost_profile_a.jsonl"
 cargo run -q --release -p ballfit-bench --bin cost_profile -- --validate "$SMOKE_DIR/cost_profile.json"
-cargo run -q --release -p ballfit-bench --bin cost_profile -- --validate-trace "$SMOKE_DIR/cost_profile_a.jsonl"
+cargo run -q --release -p ballfit-bench --bin cost_profile -- --validate "$SMOKE_DIR/cost_profile_a.jsonl"
 BALLFIT_RESULTS="$SMOKE_DIR" cargo run -q --release -p ballfit-bench --bin cost_profile -- --smoke --trace "$SMOKE_DIR/cost_profile_b.jsonl"
 cargo run -q --release -p ballfit-obs --bin trace_diff -- "$SMOKE_DIR/cost_profile_a.jsonl" "$SMOKE_DIR/cost_profile_b.jsonl"
 
@@ -172,7 +176,7 @@ cargo run -q --release -p ballfit-serve --bin ballfit-serve -- --threads 4 \
 cmp "$SMOKE_DIR/serve_responses_a.jsonl" "$SMOKE_DIR/serve_responses_b.jsonl"
 sed -n 2p "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-scene"'
 sed -n 3p "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-request"'
-cargo run -q --release -p ballfit-bench --bin serve_load -- --validate-log "$SMOKE_DIR/serve_responses_a.jsonl"
+cargo run -q --release -p ballfit-bench --bin serve_load -- --validate "$SMOKE_DIR/serve_responses_a.jsonl"
 BALLFIT_RESULTS="$SMOKE_DIR" cargo run -q --release -p ballfit-bench --bin serve_load -- --smoke
 cargo run -q --release -p ballfit-bench --bin serve_load -- --validate "$SMOKE_DIR/serve_load.json"
 
