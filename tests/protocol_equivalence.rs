@@ -5,6 +5,7 @@ use ballfit::config::{CoordinateSource, DetectorConfig};
 use ballfit::detector::BoundaryDetector;
 use ballfit::grouping::group_boundaries;
 use ballfit::iff::apply_iff;
+use ballfit::incremental::IncrementalDetector;
 use ballfit::landmarks::elect_landmarks;
 use ballfit::protocols::{
     exchange, run_grouping_protocol, run_iff_protocol, run_landmark_protocol, run_ubf_protocol,
@@ -12,8 +13,10 @@ use ballfit::protocols::{
 };
 use ballfit::view::NetView;
 use ballfit_netgen::builder::NetworkBuilder;
+use ballfit_netgen::churn::ChurnDriver;
 use ballfit_netgen::scenario::Scenario;
 use ballfit_obs::Trace;
+use ballfit_wsn::churn::ChurnPlan;
 use ballfit_wsn::faults::FaultPlan;
 use ballfit_wsn::flood::fragment_sizes;
 
@@ -121,5 +124,54 @@ fn batched_ubf_decisions_match_one_decide_per_node() {
             "{source:?} on a lossy radio"
         );
         assert_ne!(one_by_one, perfect, "{source:?}: the lossy radio changed no decision");
+    }
+}
+
+/// After every batch of joins, leaves (which leave dead slots) and moves,
+/// the fault-free hardened UBF exchange decides exactly the incremental
+/// detector's candidates, slot for slot, with local-MDS frames at 0% and
+/// at 20% ranging error: the verdicts `chaos::run_epoch` takes from its
+/// oracle instead of embedding every frame again.
+#[test]
+fn churned_fault_free_ubf_matches_the_incremental_candidates() {
+    let model = NetworkBuilder::new(Scenario::SolidSphere)
+        .surface_nodes(120)
+        .interior_nodes(180)
+        .target_degree(13.0)
+        .require_connected(false)
+        .seed(404)
+        .build()
+        .expect("model generates");
+    let plan = ChurnPlan::none()
+        .with_seed(6)
+        .with_epochs(4)
+        .with_join_rate(0.03)
+        .with_leave_rate(0.03)
+        .with_move_rate(0.03)
+        .with_max_drift(0.5 * model.radio_range());
+    let schedule = plan.schedule(model.len());
+    let (backoff, perfect, off) = (Backoff::default(), FaultPlan::none(), &mut Trace::disabled());
+    for cfg in [DetectorConfig::paper(0, 0), DetectorConfig::paper(20, 9)] {
+        let mut driver = ChurnDriver::new(&model, 17);
+        let mut oracle = IncrementalDetector::new(cfg, driver.dynamic());
+        for epoch in 0..plan.epochs {
+            for ev in schedule.iter().filter(|ev| ev.epoch == epoch) {
+                let (_, delta) = driver.step(ev).expect("in-shape sampling never exhausts");
+                oracle.apply(driver.dynamic(), &delta);
+            }
+            let dynamic = driver.dynamic();
+            let view = NetView::new(dynamic.topology(), dynamic.positions(), dynamic.radio_range());
+            let states = UbfProtocol::for_view(&view, &cfg.coordinates);
+            let budget = HardenedUbf::round_budget(backoff, &perfect);
+            let (nodes, _) =
+                exchange(view.topology(), "hardened-ubf", budget, &perfect, off, |id| {
+                    HardenedUbf::new(states[id].clone(), backoff)
+                });
+            let flags =
+                HardenedUbf::decide_all(&nodes, view.radio_range(), &cfg.ubf, &cfg.coordinates);
+            assert_eq!(flags, oracle.candidates(), "{:?}, epoch {epoch}", cfg.coordinates);
+        }
+        let dynamic = driver.dynamic();
+        assert!(dynamic.live_count() < dynamic.len(), "no leave left a dead slot");
     }
 }
