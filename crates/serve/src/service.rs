@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use ballfit::chaos::{epoch_plan, run_epoch, ChaosConfig, DetectionOutcome};
+use ballfit::chaos::{epoch_plan, run_epoch, stack_matches_oracle, ChaosConfig, DetectionOutcome};
 use ballfit::incremental::IncrementalDetector;
 use ballfit::surface::SurfaceBuilder;
 use ballfit::view::NetView;
@@ -389,9 +389,21 @@ fn restore_instance(cp: &WireCheckpoint) -> Result<Instance, ServeError> {
 /// whatever `config.backend` says: the chaos watchdog judges the
 /// *reference* pipeline's fault tolerance, and a rival backend's
 /// overlay is untouched by fault epochs (they leave the topology as
-/// they found it).
+/// they found it). A tenant whose frames the stack cannot reproduce
+/// (ground-truth coordinates or a wider witness scope) is refused: its
+/// fault-free epochs would grade as degraded.
 fn inject_instance(inst: &mut Instance, id: &str, faults: &FaultKnobs) -> ServeResponse {
-    let ccfg = ChaosConfig::new(inst.config.to_detector(), ChurnPlan::none())
+    let detector = inst.config.to_detector();
+    if !stack_matches_oracle(&detector) {
+        return ServeResponse::Error(ServeError::BadRequest {
+            detail: format!(
+                "instance '{id}': inject needs local-MDS frames with one-hop witnesses; \
+                 create the instance with a config 'error' (0 for exact ranging) and \
+                 'witness_hops' 1 or unset"
+            ),
+        });
+    }
+    let ccfg = ChaosConfig::new(detector, ChurnPlan::none())
         .with_loss(faults.loss)
         .with_duplication(faults.duplication)
         .with_max_delay(faults.max_delay)

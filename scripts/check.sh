@@ -54,11 +54,15 @@
 #                               JSONL-valid response logs; the log's
 #                               scene with no surface nodes must answer
 #                               bad-scene and its zero-degree scene
-#                               bad-request, and the daemon must keep
-#                               serving (a panic exits non-zero; the
-#                               JSONL check is serve_load --validate on
-#                               the .jsonl log); then serve_load --smoke
-#                               emits valid JSON
+#                               bad-request, and so must its three
+#                               refused injects (lines 11-13: one on a
+#                               ground-truth tenant, one with crash_down
+#                               65, one with crash_up below crash_down);
+#                               the daemon must keep serving (a panic
+#                               exits non-zero; the JSONL check is
+#                               serve_load --validate on the .jsonl
+#                               log); then serve_load --smoke emits
+#                               valid JSON
 #  10. scale_ladder --smoke     CSR scaling ladder (small rungs, one
 #                               subprocess per rung) emits valid JSON;
 #                               two --deterministic runs must be
@@ -167,6 +171,10 @@ cat > "$SMOKE_DIR/serve_requests.jsonl" <<'EOF'
 {"op":"inject","id":"a","faults":{"loss":0.1,"crash_fraction":0.05,"seed":3}}
 {"op":"checkpoint","id":"a"}
 {"op":"query","id":"nope","what":"boundary"}
+{"op":"create","id":"g","scene":{"scenario":"sphere","surface":80,"interior":120,"degree":13,"seed":7}}
+{"op":"inject","id":"g","faults":{}}
+{"op":"inject","id":"a","faults":{"crash_down":65}}
+{"op":"inject","id":"a","faults":{"crash_down":4,"crash_up":3}}
 {"op":"shutdown"}
 EOF
 cargo run -q --release -p ballfit-serve --bin ballfit-serve -- --threads 1 \
@@ -176,6 +184,9 @@ cargo run -q --release -p ballfit-serve --bin ballfit-serve -- --threads 4 \
 cmp "$SMOKE_DIR/serve_responses_a.jsonl" "$SMOKE_DIR/serve_responses_b.jsonl"
 sed -n 2p "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-scene"'
 sed -n 3p "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-request"'
+for line in 11 12 13; do
+    sed -n "${line}p" "$SMOKE_DIR/serve_responses_a.jsonl" | grep -q '^{"err":"bad-request"'
+done
 cargo run -q --release -p ballfit-bench --bin serve_load -- --validate "$SMOKE_DIR/serve_responses_a.jsonl"
 BALLFIT_RESULTS="$SMOKE_DIR" cargo run -q --release -p ballfit-bench --bin serve_load -- --smoke
 cargo run -q --release -p ballfit-bench --bin serve_load -- --validate "$SMOKE_DIR/serve_load.json"

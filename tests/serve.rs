@@ -428,6 +428,20 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         // in the delay: refused, up to and including 2³² − 1.
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":65}}", "bad-request"),
         ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":4294967295}}", "bad-request"),
+        // The crash window has the same bound: the engine ticks until the
+        // last crash round, and every phase's budget grows with it.
+        ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_down\":65}}", "bad-request"),
+        (
+            "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_down\":1,\"crash_up\":65}}",
+            "bad-request",
+        ),
+        // Victims that recover before they crash: refused, explicitly
+        // and through the default recovery round 6.
+        (
+            "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_down\":3,\"crash_up\":2}}",
+            "bad-request",
+        ),
+        ("{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_down\":7}}", "bad-request"),
         // A scene's degree must be positive: the builder asserts it.
         (
             "{\"op\":\"create\",\"id\":\"x\",\"scene\":{\"scenario\":\"sphere\",\"degree\":0}}",
@@ -441,10 +455,17 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         let err = ballfit_serve::parse_request(line).expect_err(line);
         assert_eq!(err.code(), code, "{line}");
     }
-    // The largest accepted delay parses unchanged.
+    // The largest accepted delay and crash window parse unchanged.
     let line = "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"max_delay\":64}}";
     match ballfit_serve::parse_request(line) {
         Ok(ServeRequest::Inject { faults, .. }) => assert_eq!(faults.max_delay, 64),
+        other => panic!("{line}: {other:?}"),
+    }
+    let line = "{\"op\":\"inject\",\"id\":\"x\",\"faults\":{\"crash_down\":64,\"crash_up\":64}}";
+    match ballfit_serve::parse_request(line) {
+        Ok(ServeRequest::Inject { faults, .. }) => {
+            assert_eq!((faults.crash_down, faults.crash_up), (64, Some(64)))
+        }
         other => panic!("{line}: {other:?}"),
     }
     // The 32-bit config fields of a create and of a restore's checkpoint:
@@ -516,4 +537,37 @@ fn serve_malformed_inputs_yield_typed_errors_not_panics() {
         svc.handle(&ServeRequest::Query { id: "n".to_string(), what: QueryKind::Boundary }),
         ballfit_serve::ServeResponse::BoundaryNodes { .. }
     ));
+}
+
+/// The distributed stack only ever holds one-hop measured tables, so an
+/// inject on a ground-truth tenant or a two-hop tenant would misgrade
+/// even a fault-free epoch: both answer bad-request naming the settings
+/// that work, run no epoch, and the tenants keep serving.
+#[test]
+fn inject_refuses_tenants_whose_frames_the_stack_cannot_build() {
+    let input = concat!(
+        "{\"op\":\"create\",\"id\":\"truth\",\"scene\":{\"scenario\":\"sphere\",\"surface\":80,\"interior\":120,\"degree\":13,\"seed\":1}}\n",
+        "{\"op\":\"create\",\"id\":\"hop2\",\"scene\":{\"scenario\":\"sphere\",\"surface\":80,\"interior\":120,\"degree\":13,\"seed\":1},\"config\":{\"error\":0,\"witness_hops\":2}}\n",
+        "{\"op\":\"inject\",\"id\":\"truth\",\"faults\":{}}\n",
+        "{\"op\":\"inject\",\"id\":\"hop2\",\"faults\":{}}\n",
+        "{\"op\":\"query\",\"id\":\"truth\",\"what\":\"groups\"}\n",
+        "{\"op\":\"events\",\"id\":\"hop2\",\"events\":[{\"kind\":\"leave\",\"node\":3}]}\n",
+        "{\"op\":\"checkpoint\",\"id\":\"truth\"}\n",
+    );
+    let out = Service::sequential().serve_jsonl(input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 7, "{out}");
+    for (line, id) in [(lines[2], "truth"), (lines[3], "hop2")] {
+        assert_eq!(
+            line,
+            format!(
+                "{{\"err\":\"bad-request\",\"detail\":\"instance '{id}': inject needs local-MDS \
+                 frames with one-hop witnesses; create the instance with a config 'error' (0 for \
+                 exact ranging) and 'witness_hops' 1 or unset\"}}"
+            )
+        );
+    }
+    assert!(lines[4].starts_with("{\"ok\":\"query\",\"id\":\"truth\""), "{out}");
+    assert!(lines[5].starts_with("{\"ok\":\"events\",\"id\":\"hop2\""), "{out}");
+    assert!(lines[6].contains("\"injects\":0,"), "a refused inject ran an epoch: {out}");
 }
