@@ -220,11 +220,15 @@ impl UbfProtocol {
     }
 
     /// After the run: decide boundary membership from the collected
-    /// tables, exactly as the centralized detector does.
+    /// tables. Under [`CoordinateSource::LocalMds`] with one-hop
+    /// witnesses this is exactly the centralized detector's verdict: both
+    /// embed the same measured pairs.
     ///
     /// For [`CoordinateSource::GroundTruth`] the centralized path uses true
-    /// positions directly; the protocol only ever sees distances, so it
-    /// embeds them — the frames are isometric and the outcome identical.
+    /// positions directly, while the protocol only ever holds one-hop
+    /// distances: it embeds them, shortest-path completing the pairs no
+    /// table measures, so its frame is not isometric to the truth and a
+    /// near-threshold verdict can differ.
     pub fn decide(&self, radio_range: f64, cfg: &UbfConfig, source: &CoordinateSource) -> bool {
         let Some((self_index, table)) = self.local_table() else {
             return cfg.degenerate_is_boundary;
@@ -416,7 +420,9 @@ impl HardenedUbf {
     /// `clean` are known (same nodes, same tables). A verdict is a pure
     /// function of the node's own table and the neighbour tables it holds,
     /// so a node holding every neighbour's table takes `clean[i]`; only
-    /// the others are embedded and tested.
+    /// the others are embedded and tested. [`crate::chaos::run_epoch`]
+    /// passes the incremental oracle's candidates, which are those
+    /// verdicts under [`crate::chaos::stack_matches_oracle`].
     pub(crate) fn decide_all_reusing(
         nodes: &[HardenedUbf],
         clean: &[bool],

@@ -21,7 +21,12 @@
 //!   detector checkpoint + epoch counters) and revive it, on the same or
 //!   a different service, without disturbing replay identity.
 //! * `inject` — run one fault epoch ([`ballfit::chaos::run_epoch`])
-//!   against the instance's oracle and report the watchdog verdict.
+//!   against the instance's oracle and report the watchdog verdict. The
+//!   instance needs local-MDS frames with one-hop witnesses (a config
+//!   `error`, `witness_hops` 1 or unset): the protocol only ever holds
+//!   one-hop measured tables, so any other tenant is refused with
+//!   `bad-request`. `max_delay`, `crash_down` and `crash_up` are at most
+//!   64 rounds, and `crash_up` is not below `crash_down`.
 //! * `shutdown` — stop serving; later requests get a typed error.
 //!
 //! # Determinism
