@@ -107,8 +107,10 @@ impl SpatialGrid {
         (x / cell).floor().clamp(-KEY_CLAMP, KEY_CLAMP) as i64
     }
 
+    /// The cell `p` falls in at `cell`: `floor(coord / cell)` per axis,
+    /// clamped to `±2^40` — where [`SpatialGrid::build`] bins it.
     #[inline]
-    fn key(p: Vec3, cell: f64) -> (i64, i64, i64) {
+    pub fn key(p: Vec3, cell: f64) -> (i64, i64, i64) {
         (Self::cell_coord(p.x, cell), Self::cell_coord(p.y, cell), Self::cell_coord(p.z, cell))
     }
 

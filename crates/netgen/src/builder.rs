@@ -1,6 +1,7 @@
 //! End-to-end network generation with degree calibration.
 
 use ballfit_geom::grid::SpatialGrid;
+use ballfit_geom::sdf::Sdf;
 use ballfit_geom::Vec3;
 use ballfit_rng::{Rng, StdRng};
 use ballfit_wsn::Topology;
@@ -164,7 +165,7 @@ impl NetworkBuilder {
             }
         }
         let sdf = self.scenario.build(self.seed);
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_mul(0x5851_F42D_4C95_7F2D));
+        let mut rng = self.rng();
 
         let (surface, interior) = match self.placement {
             Placement::Uniform => (
@@ -172,22 +173,8 @@ impl NetworkBuilder {
                 sampler::sample_interior(&*sdf, self.n_interior, self.interior_margin, &mut rng)?,
             ),
             Placement::BlueNoise => {
-                // Dense uniform pools, thinned to near-maximal Poisson-disk
-                // sets of approximately the requested sizes.
-                let pool_factor = 8;
-                let surface_pool = sampler::sample_surface(
-                    &*sdf,
-                    self.n_surface * pool_factor,
-                    self.surface_shell,
-                    &mut rng,
-                )?;
+                let [surface_pool, interior_pool] = self.blue_noise_pools(&*sdf, &mut rng)?;
                 let (surface, _) = sampler::poisson_select(&surface_pool, self.n_surface);
-                let interior_pool = sampler::sample_interior(
-                    &*sdf,
-                    self.n_interior * pool_factor,
-                    self.interior_margin,
-                    &mut rng,
-                )?;
                 let (interior, _) = sampler::poisson_select(&interior_pool, self.n_interior);
                 (surface, interior)
             }
@@ -225,6 +212,40 @@ impl NetworkBuilder {
             range,
             topology,
         ))
+    }
+
+    /// The random stream every draw of a build comes from.
+    fn rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed.wrapping_mul(0x5851_F42D_4C95_7F2D))
+    }
+
+    /// Blue-noise placement's dense uniform surface and interior pools,
+    /// eight times the requested counts, which
+    /// [`sampler::poisson_select`] thins to near-maximal Poisson-disk sets
+    /// of the requested sizes.
+    fn blue_noise_pools(
+        &self,
+        sdf: &dyn Sdf,
+        rng: &mut StdRng,
+    ) -> Result<[Vec<Vec3>; 2], GenError> {
+        let pool_factor = 8;
+        Ok([
+            sampler::sample_surface(sdf, self.n_surface * pool_factor, self.surface_shell, rng)?,
+            sampler::sample_interior(
+                sdf,
+                self.n_interior * pool_factor,
+                self.interior_margin,
+                rng,
+            )?,
+        ])
+    }
+
+    /// The pools a blue-noise [`NetworkBuilder::build`] thins, for the
+    /// thinning pins.
+    #[cfg(test)]
+    pub(crate) fn pools(&self) -> [Vec<Vec3>; 2] {
+        self.blue_noise_pools(&*self.scenario.build(self.seed), &mut self.rng())
+            .expect("the pools sample")
     }
 }
 
