@@ -1,5 +1,8 @@
 //! Point sampling inside and on the surface of SDF solids.
 
+use std::ops::RangeInclusive;
+
+use ballfit_geom::grid::SpatialGrid;
 use ballfit_geom::sdf::Sdf;
 use ballfit_geom::Vec3;
 use ballfit_rng::{Rng, StdRng};
@@ -106,59 +109,56 @@ pub fn greedy_thin(pool: &[Vec3], spacing: f64) -> Vec<usize> {
     if spacing == 0.0 {
         return (0..pool.len()).collect();
     }
-    let Some(mut grid) = ThinGrid::new(pool, spacing) else {
-        return Vec::new();
-    };
-    let mut kept = Vec::new();
-    for (i, &p) in pool.iter().enumerate() {
-        let key = thin_key(p, spacing);
-        if !grid.blocks(p, key) {
-            grid.insert(p, key);
-            kept.push(i);
-        }
-    }
-    kept
+    Thinning::new(pool).round(spacing)
+}
+
+/// `v.floor() as i64`, without a call: on the baseline x86-64 target
+/// `f64::floor` is a call into a software `floor` routine. The cast
+/// truncates toward zero and saturates (NaN gives 0), so only a negative
+/// non-integer needs one subtracted, and the saturated `i64::MIN` keeps.
+#[inline]
+fn floor_i64(v: f64) -> i64 {
+    let t = v as i64;
+    t.saturating_sub(i64::from((t as f64) > v))
 }
 
 /// A point's cell key at `spacing`: `floor(coord / spacing)` per axis.
+#[inline]
 fn thin_key(p: Vec3, spacing: f64) -> [i64; 3] {
-    [p.x, p.y, p.z].map(|c| (c / spacing).floor() as i64)
+    [p.x, p.y, p.z].map(|c| floor_i64(c / spacing))
 }
 
-/// Key boxes with more cells than this per pool point get wider cells, so
-/// [`ThinGrid`] stays O(pool) whatever the coordinates.
+/// Whether two keys differ by at most `reach` on every axis.
+fn within(a: [i64; 3], b: [i64; 3], reach: u64) -> bool {
+    (0..3).all(|i| a[i].abs_diff(b[i]) <= reach)
+}
+
+/// Key boxes with more cells than this per key get wider cells, so a
+/// [`CellBox`] stays O(keys) whatever the coordinates.
 const MAX_CELLS_PER_POINT: u64 = 32;
 
-/// End of a [`ThinGrid`] cell list.
+/// End of a [`CellGrid`] cell list, and "no blocker" in [`Thinning`].
 const NIL: u32 = u32::MAX;
 
-/// [`greedy_thin`]'s kept points as singly linked lists over a dense cell
-/// array spanning the pool's key box.
+/// A dense array of cells spanning the box of a key set.
 ///
 /// A cell covers `2^shift` keys per axis. `shift` is 0, one key per cell,
 /// unless the key box holds more than [`MAX_CELLS_PER_POINT`] cells per
-/// pool point; then it is the smallest shift from 2 up (cells at least
-/// three keys wide) that fits. Wider cells hold points more than one key
-/// apart, so their queries also compare keys.
-struct ThinGrid {
-    spacing: f64,
+/// key; then it is the smallest shift from 2 up (cells at least three keys
+/// wide) that fits. Wider cells hold points more than one key apart, so
+/// their queries also compare keys.
+struct CellBox {
     min: [i64; 3],
     dims: [usize; 3],
     shift: u32,
-    /// First kept point of each cell, or [`NIL`].
-    head: Vec<u32>,
-    /// Per kept point: the next kept point in its cell, or [`NIL`].
-    next: Vec<u32>,
-    kept: Vec<Vec3>,
 }
 
-impl ThinGrid {
-    /// An empty grid over the key box of `pool`; `None` for an empty pool.
-    fn new(pool: &[Vec3], spacing: f64) -> Option<Self> {
-        assert!(pool.len() < NIL as usize, "pool exceeds the u32 index space");
-        let mut keys = pool.iter().map(|&p| thin_key(p, spacing));
-        let first = keys.next()?;
-        let (min, max) = keys.fold((first, first), |(lo, hi), k| {
+impl CellBox {
+    /// The box of `keys`; `None` when there are none.
+    fn new(keys: &[[i64; 3]]) -> Option<Self> {
+        assert!(keys.len() < NIL as usize, "pool exceeds the u32 index space");
+        let (&first, rest) = keys.split_first()?;
+        let (min, max) = rest.iter().fold((first, first), |(lo, hi), k| {
             ([0, 1, 2].map(|a| lo[a].min(k[a])), [0, 1, 2].map(|a| hi[a].max(k[a])))
         });
         let span = [0, 1, 2].map(|a| max[a].abs_diff(min[a]));
@@ -166,67 +166,174 @@ impl ThinGrid {
             span.iter().try_fold(1u64, |n, &s| n.checked_mul((s >> shift).checked_add(1)?))
         };
         // At shift 63 the box is at most 2 cells per axis, within any
-        // non-empty pool's budget.
-        let budget = (pool.len() as u64).saturating_mul(MAX_CELLS_PER_POINT);
+        // non-empty key set's budget.
+        let budget = (keys.len() as u64).saturating_mul(MAX_CELLS_PER_POINT);
         let mut shift = 0;
         while cells(shift).is_none_or(|n| n > budget) {
             shift = shift.max(1) + 1;
         }
         let dims = span.map(|s| ((s >> shift) + 1) as usize);
-        Some(ThinGrid {
-            spacing,
-            min,
-            dims,
-            shift,
-            head: vec![NIL; dims.iter().product()],
-            next: Vec::new(),
-            kept: Vec::new(),
-        })
+        Some(CellBox { min, dims, shift })
     }
 
-    /// Whether a kept point within one key of `key` on every axis lies
-    /// closer than the spacing to `p`.
-    fn blocks(&self, p: Vec3, key: [i64; 3]) -> bool {
-        let s2 = self.spacing * self.spacing;
-        let [xs, ys, zs] = [0, 1, 2].map(|a| {
+    fn len(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    /// The cell of `key`.
+    fn cell(&self, key: [i64; 3]) -> usize {
+        let [x, y, z] = [0, 1, 2].map(|a| (key[a].abs_diff(self.min[a]) >> self.shift) as usize);
+        self.row(x, y) + z
+    }
+
+    /// The cells holding keys within one of `key` on every axis: their
+    /// ranges along each axis.
+    #[inline]
+    fn around(&self, key: [i64; 3]) -> [RangeInclusive<usize>; 3] {
+        [0, 1, 2].map(|a| {
             let offset = key[a].abs_diff(self.min[a]);
             let lo = offset.saturating_sub(1) >> self.shift;
             let hi = (offset.saturating_add(1) >> self.shift).min(self.dims[a] as u64 - 1);
             lo as usize..=hi as usize
-        });
+        })
+    }
+
+    /// The first cell of row `(x, y)`; the row's cells follow it along z.
+    #[inline]
+    fn row(&self, x: usize, y: usize) -> usize {
+        (x * self.dims[1] + y) * self.dims[2]
+    }
+}
+
+/// Points as singly linked lists over a [`CellBox`], filled one point at
+/// a time.
+struct CellGrid {
+    cells: CellBox,
+    /// First point of each cell, or [`NIL`].
+    head: Vec<u32>,
+    /// Per point: the next point in its cell, or [`NIL`].
+    next: Vec<u32>,
+    points: Vec<Vec3>,
+    /// Per point: the caller's index for it.
+    ids: Vec<u32>,
+}
+
+impl CellGrid {
+    fn new(cells: CellBox) -> Self {
+        CellGrid {
+            head: vec![NIL; cells.len()],
+            cells,
+            next: Vec::new(),
+            points: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// The id of the first point, in the cells holding keys within one of
+    /// `key` on every axis, for which `hit` holds.
+    #[inline]
+    fn find(&self, key: [i64; 3], mut hit: impl FnMut(Vec3, u32) -> bool) -> Option<u32> {
+        let [xs, ys, zs] = self.cells.around(key);
         for x in xs {
             for y in ys.clone() {
-                let row = (x * self.dims[1] + y) * self.dims[2];
+                let row = self.cells.row(x, y);
                 for z in zs.clone() {
                     let mut j = self.head[row + z];
                     while j != NIL {
-                        let q = self.kept[j as usize];
-                        if q.distance_squared(p) < s2
-                            && (self.shift == 0 || within_one(thin_key(q, self.spacing), key))
-                        {
-                            return true;
+                        let id = self.ids[j as usize];
+                        if hit(self.points[j as usize], id) {
+                            return Some(id);
                         }
                         j = self.next[j as usize];
                     }
                 }
             }
         }
-        false
+        None
     }
 
-    /// Adds a kept point to the cell of its key.
-    fn insert(&mut self, p: Vec3, key: [i64; 3]) {
-        let [x, y, z] = [0, 1, 2].map(|a| (key[a].abs_diff(self.min[a]) >> self.shift) as usize);
-        let cell = (x * self.dims[1] + y) * self.dims[2] + z;
+    /// Adds a point to the cell of its key.
+    fn insert(&mut self, p: Vec3, key: [i64; 3], id: u32) {
+        let cell = self.cells.cell(key);
         self.next.push(self.head[cell]);
-        self.head[cell] = self.kept.len() as u32;
-        self.kept.push(p);
+        self.head[cell] = self.points.len() as u32;
+        self.points.push(p);
+        self.ids.push(id);
     }
 }
 
-/// Whether two keys differ by at most one on every axis.
-fn within_one(a: [i64; 3], b: [i64; 3]) -> bool {
-    (0..3).all(|i| a[i].abs_diff(b[i]) <= 1)
+/// [`greedy_thin`] over one pool at a sequence of spacings, remembering
+/// each rejected point's blocker from one round to the next.
+///
+/// A point's decision depends only on [`greedy_thin`]'s predicate: some
+/// earlier point kept in this round lies within one key of it on every
+/// axis and closer than the spacing. A point first retries the kept point
+/// that last rejected it, and is rejected again without a grid scan when
+/// that point is kept in this round, closer than the spacing and within
+/// one key; otherwise the scan decides and records the blocker it finds.
+/// Either way the predicate is applied exactly, so every round keeps
+/// exactly [`greedy_thin`]'s points. (The key test never decides alone:
+/// two points closer than the spacing always have keys within one, which
+/// the reference tests search for at rounding boundaries.) Across the late
+/// rounds of a bisection the spacing barely moves, so almost every retry
+/// succeeds. The three arrays cost 29 bytes per pool point.
+struct Thinning<'a> {
+    pool: &'a [Vec3],
+    /// Each point's key at the current round's spacing.
+    keys: Vec<[i64; 3]>,
+    /// Whether each point was kept in the current round.
+    kept: Vec<bool>,
+    /// The kept point that last rejected each point, or [`NIL`].
+    blocker: Vec<u32>,
+}
+
+impl<'a> Thinning<'a> {
+    fn new(pool: &'a [Vec3]) -> Self {
+        Thinning {
+            pool,
+            keys: vec![[0; 3]; pool.len()],
+            kept: vec![false; pool.len()],
+            blocker: vec![NIL; pool.len()],
+        }
+    }
+
+    /// [`greedy_thin`] at a positive `spacing`: the kept indices.
+    fn round(&mut self, spacing: f64) -> Vec<usize> {
+        for (key, &p) in self.keys.iter_mut().zip(self.pool) {
+            *key = thin_key(p, spacing);
+        }
+        let Some(cells) = CellBox::new(&self.keys) else {
+            return Vec::new();
+        };
+        let mut grid = CellGrid::new(cells);
+        let s2 = spacing * spacing;
+        let keys = &self.keys;
+        let mut out = Vec::new();
+        for (i, &p) in self.pool.iter().enumerate() {
+            let key = keys[i];
+            // A blocker precedes the point it blocks, so its flag is
+            // already this round's.
+            let last = self.blocker[i] as usize;
+            let retried = self.blocker[i] != NIL
+                && self.kept[last]
+                && self.pool[last].distance_squared(p) < s2
+                && within(keys[last], key, 1);
+            let blocked = retried
+                || grid
+                    .find(key, |q, id| {
+                        q.distance_squared(p) < s2
+                            && (grid.cells.shift == 0 || within(keys[id as usize], key, 1))
+                    })
+                    .inspect(|&id| self.blocker[i] = id)
+                    .is_some();
+            self.kept[i] = !blocked;
+            if !blocked {
+                grid.insert(p, key, i as u32);
+                out.push(i);
+            }
+        }
+        out
+    }
 }
 
 /// Selects a near-maximal Poisson-disk subset of `pool` with approximately
@@ -247,11 +354,12 @@ pub fn poisson_select(pool: &[Vec3], target: usize) -> (Vec<Vec3>, f64) {
     let mut lo = 0.0f64;
     let mut hi = bounds.extent().norm().max(1e-6);
     // count(spacing) is monotone non-increasing; find the largest spacing
-    // keeping at least `target` points.
+    // keeping at least `target` points. Every round runs greedy_thin.
+    let mut thinning = Thinning::new(pool);
     let mut best: Option<(Vec<usize>, f64)> = None;
     for _ in 0..24 {
         let mid = 0.5 * (lo + hi);
-        let kept = greedy_thin(pool, mid);
+        let kept = thinning.round(mid);
         if kept.len() >= target {
             lo = mid;
             best = Some((kept, mid));
@@ -259,41 +367,111 @@ pub fn poisson_select(pool: &[Vec3], target: usize) -> (Vec<Vec3>, f64) {
             hi = mid;
         }
     }
+    drop(thinning);
     let (kept, spacing) = best.unwrap_or_else(|| ((0..pool.len()).collect(), 0.0));
     let points: Vec<Vec3> = kept.into_iter().map(|i| pool[i]).collect();
     if points.len() == target {
         return (points, spacing);
     }
-    // Trim to the exact target by dropping the most redundant points
-    // (smallest nearest-neighbor distance first), which perturbs the
-    // blue-noise coverage least. One grid-accelerated NN pass suffices —
-    // the excess is a small fraction of the selection.
-    let grid = ballfit_geom::grid::SpatialGrid::build(&points, spacing.max(1e-9));
-    let mut nn: Vec<(f64, usize)> = (0..points.len())
-        .map(|i| {
-            // Nearest neighbor is at distance in [spacing, 2·spacing) for a
-            // near-maximal set; widen the search radius until found.
-            let mut radius = spacing.max(1e-9) * 2.0;
-            loop {
-                let near = grid.neighbors_within(&points, i, radius);
-                if let Some(d) = near
-                    .iter()
-                    .map(|&j| points[i].distance_squared(points[j]))
-                    .fold(None::<f64>, |acc, d| Some(acc.map_or(d, |a| a.min(d))))
-                {
-                    return (d, i);
-                }
-                radius *= 2.0;
-            }
+    (trim(points, spacing, target), spacing)
+}
+
+/// Trims a selection to exactly `target` points by dropping the most
+/// redundant ones (smallest nearest-neighbour distance first, ties by
+/// index), which perturbs the blue-noise coverage least.
+///
+/// A point's nearest-neighbour distance is the minimum `distance²` over
+/// the other points at most `2·cell` away whose [`SpatialGrid::key`]s at
+/// `cell = max(spacing, 1e-9)` lie within two of its own on every axis:
+/// the first radius of a search that doubles until it finds a point. In a
+/// near-maximal set the nearest neighbour lies in `[spacing, 2·spacing)`,
+/// so a dense grid of cells two keys wide (27 cells per point) finds
+/// almost every minimum; only a point with nothing in that first radius
+/// widens, through a [`SpatialGrid`] built the first time one does. A
+/// minimum does not depend on visit order, so neither does the trim.
+fn trim(points: Vec<Vec3>, spacing: f64, target: usize) -> Vec<Vec3> {
+    let cell = spacing.max(1e-9);
+    let radius = cell * 2.0;
+    let r2 = radius * radius;
+    let keys: Vec<[i64; 3]> = points
+        .iter()
+        .map(|&p| {
+            let (x, y, z) = SpatialGrid::key(p, cell);
+            [x, y, z]
         })
         .collect();
-    nn.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let drop: std::collections::BTreeSet<usize> =
-        nn.iter().take(points.len() - target).map(|&(_, i)| i).collect();
-    let trimmed: Vec<Vec3> =
-        points.iter().enumerate().filter(|(i, _)| !drop.contains(i)).map(|(_, &p)| p).collect();
-    (trimmed, spacing)
+    // Cells two keys wide: the cells around a point's cell hold every key
+    // within two of its own.
+    let wide: Vec<[i64; 3]> = keys.iter().map(|k| k.map(|c| c >> 1)).collect();
+    let cells = CellBox::new(&wide).expect("a trimmed selection is non-empty");
+    // The points sorted by cell, so that each run of cells is one slice.
+    let mut start = vec![0u32; cells.len() + 1];
+    for &w in &wide {
+        start[cells.cell(w) + 1] += 1;
+    }
+    for c in 0..cells.len() {
+        start[c + 1] += start[c];
+    }
+    let mut by_cell = vec![(Vec3::ZERO, [0i64; 3], 0u32); points.len()];
+    let mut fill = start.clone();
+    for (i, &w) in wide.iter().enumerate() {
+        let slot = &mut fill[cells.cell(w)];
+        by_cell[*slot as usize] = (points[i], keys[i], i as u32);
+        *slot += 1;
+    }
+    let mut far: Option<SpatialGrid> = None;
+    let mut nn: Vec<(f64, usize)> = by_cell
+        .iter()
+        .map(|&(p, key, i)| {
+            let mut nearest: Option<f64> = None;
+            let [xs, ys, zs] = cells.around(key.map(|c| c >> 1));
+            for x in xs {
+                for y in ys.clone() {
+                    let row = cells.row(x, y);
+                    let run = start[row + zs.start()] as usize..start[row + zs.end() + 1] as usize;
+                    for &(q, k, j) in &by_cell[run] {
+                        let d = p.distance_squared(q);
+                        if d <= r2 && j != i && within(k, key, 2) {
+                            nearest = Some(nearest.map_or(d, |a| a.min(d)));
+                        }
+                    }
+                }
+            }
+            let i = i as usize;
+            let d = nearest.unwrap_or_else(|| {
+                let grid = far.get_or_insert_with(|| SpatialGrid::build(&points, cell));
+                nearest_within(grid, &points, i, radius * 2.0)
+            });
+            (d, i)
+        })
+        .collect();
+    let excess = points.len() - target;
+    nn.select_nth_unstable_by(excess, |a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let mut dropped = vec![false; points.len()];
+    for &(_, i) in &nn[..excess] {
+        dropped[i] = true;
+    }
+    points.into_iter().zip(dropped).filter(|&(_, d)| !d).map(|(p, _)| p).collect()
 }
+
+/// The smallest `distance²` from point `i` to the other points within
+/// `radius`, doubling the radius until there is one.
+fn nearest_within(grid: &SpatialGrid, points: &[Vec3], i: usize, mut radius: f64) -> f64 {
+    loop {
+        let near = grid.neighbors_within(points, i, radius);
+        if let Some(d) = near
+            .iter()
+            .map(|&j| points[i].distance_squared(points[j]))
+            .fold(None::<f64>, |acc, d| Some(acc.map_or(d, |a| a.min(d))))
+        {
+            return d;
+        }
+        radius *= 2.0;
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -387,136 +565,44 @@ mod tests {
         assert_eq!(greedy_thin(&pool[..50], 0.0).len(), 50);
     }
 
-    /// The `BTreeMap` grid `greedy_thin` searched before its flat grid,
-    /// kept as the reference its decisions are pinned to.
-    fn greedy_thin_reference(pool: &[Vec3], spacing: f64) -> Vec<usize> {
-        if spacing == 0.0 {
-            return (0..pool.len()).collect();
-        }
-        let key = |p: Vec3| -> (i64, i64, i64) {
-            (
-                (p.x / spacing).floor() as i64,
-                (p.y / spacing).floor() as i64,
-                (p.z / spacing).floor() as i64,
-            )
-        };
-        let mut grid: std::collections::BTreeMap<(i64, i64, i64), Vec<usize>> =
-            std::collections::BTreeMap::new();
-        let s2 = spacing * spacing;
-        let mut kept = Vec::new();
-        'pool: for (i, &p) in pool.iter().enumerate() {
-            let (cx, cy, cz) = key(p);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    for dz in -1..=1 {
-                        if let Some(bucket) = grid.get(&(cx + dx, cy + dy, cz + dz)) {
-                            if bucket.iter().any(|&j| pool[j].distance_squared(p) < s2) {
-                                continue 'pool;
-                            }
-                        }
-                    }
-                }
-            }
-            grid.entry((cx, cy, cz)).or_default().push(i);
-            kept.push(i);
-        }
-        kept
-    }
-
-    fn uniform_box(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<Vec3> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| Vec3::new(rng.gen_range(lo..hi), rng.gen_range(lo..hi), rng.gen_range(lo..hi)))
-            .collect()
-    }
-
-    /// Seeded pools that stress the thinning grid's keys and bounds, each
-    /// with the spacings to thin it at.
-    fn thin_cases() -> Vec<(&'static str, Vec<Vec3>, Vec<f64>)> {
-        let ball = sample_interior(
-            &SphereSdf::new(Vec3::ZERO, 2.0),
-            3000,
-            0.0,
-            &mut StdRng::seed_from_u64(70),
-        )
-        .unwrap();
-        let mut coincident = uniform_box(150, 71, -1.0, 1.0);
-        for i in 0..150 {
-            coincident.push(coincident[i]);
-            coincident.push(coincident[(i * 7) % 150]);
-        }
-        // Lattice points on exact multiples of the spacing, some nudged by
-        // one ulp either way: keys on cell boundaries and pair distances
-        // equal to the spacing, which the strict test must keep apart.
-        let step = 0.25;
-        let mut lattice = Vec::new();
-        let mut rng = StdRng::seed_from_u64(72);
-        for x in -4..4 {
-            for y in -4..4 {
-                for z in -4..4 {
-                    let nudge = |c: f64, r: u32| match r {
-                        0 => c.next_down(),
-                        1 => c.next_up(),
-                        _ => c,
-                    };
-                    let c = [x, y, z].map(|k| k as f64 * step);
-                    lattice.push(Vec3::new(
-                        nudge(c[0], rng.gen_range(0..4)),
-                        nudge(c[1], rng.gen_range(0..4)),
-                        nudge(c[2], rng.gen_range(0..4)),
-                    ));
-                }
-            }
-        }
-        let negative = uniform_box(800, 73, -10.0, -7.0);
-        let tiny = uniform_box(300, 74, 0.0, 1.0);
-        // Far-apart clusters and a sparse line: their key boxes at these
-        // spacings hold far more cells than the pools have points.
-        let mut clusters = Vec::new();
-        for (k, offset) in [0.0, 1e5, -3e6].into_iter().enumerate() {
-            let shift = Vec3::new(offset, -0.5 * offset, 0.25 * offset);
-            clusters
-                .extend(uniform_box(200, 75 + k as u64, 0.0, 1.0).into_iter().map(|p| p + shift));
-        }
-        let line: Vec<Vec3> = (0..400)
-            .map(|i| Vec3::new(i as f64 * 0.37 + 1e4 * (i % 3) as f64, 0.1 * (i % 5) as f64, 0.0))
-            .collect();
-        vec![
-            ("uniform ball", ball, vec![0.05, 0.2, 0.5, 1.3]),
-            ("coincident points", coincident, vec![1e-9, 0.1, 0.4]),
-            ("exact multiples of the spacing", lattice, vec![step, 2.0 * step, 0.5 * step]),
-            ("negative coordinates", negative, vec![0.1, 0.35, 1.0]),
-            ("spacing above the extent", tiny, vec![2.0, 50.0]),
-            ("key box dwarfs the pool", clusters, vec![0.05, 0.2]),
-            ("sparse line", line, vec![0.3, 0.5, 1.0]),
-        ]
-    }
-
+    /// The inline floor against the library's, at signed zeros, halves,
+    /// the edges of exact integers (2⁵²) and of `i64` (2⁶³), infinities,
+    /// NaN and subnormals.
     #[test]
-    fn greedy_thin_matches_the_map_grid_reference() {
-        let mut shifts = Vec::new();
-        for (name, pool, spacings) in thin_cases() {
-            for spacing in spacings {
-                let want = greedy_thin_reference(&pool, spacing);
-                assert_eq!(greedy_thin(&pool, spacing), want, "{name} at spacing {spacing}");
-                let grid = ThinGrid::new(&pool, spacing).unwrap();
-                let cells = grid.head.len() as u64;
-                assert!(cells <= MAX_CELLS_PER_POINT * pool.len() as u64, "{name}: {cells} cells");
-                shifts.push(grid.shift);
-            }
-        }
-        assert!(shifts.contains(&0) && shifts.iter().any(|&s| s >= 2), "{shifts:?}");
-        assert!(greedy_thin(&[], 0.5).is_empty());
-        // Saturated keys: a key box of 2^64 cells per axis still gets a
-        // bounded grid.
-        let far = [
-            Vec3::new(1e300, 0.0, 0.0),
-            Vec3::new(-1e300, 0.0, 0.0),
-            Vec3::new(f64::MAX, f64::MIN, 0.0),
-            Vec3::ZERO,
-            Vec3::new(0.5, 0.0, 0.0),
+    fn floor_i64_matches_the_library_floor() {
+        let two52 = 2f64.powi(52);
+        let two63 = 2f64.powi(63);
+        let mut values = vec![
+            0.0,
+            0.5,
+            1.0,
+            1.5,
+            2.5,
+            1.0f64.next_down(),
+            1.0f64.next_up(),
+            two52 + 0.5,
+            two52 - 0.5,
+            two52 + 1.0,
+            two52.next_down(),
+            2.0 * two52,
+            2.0 * two52 + 2.0,
+            two63,
+            two63.next_down(),
+            two63.next_up(),
+            1e19,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            3.7e-5 / 0.1,
         ];
-        assert_eq!(greedy_thin(&far, 1.0), vec![0, 1, 2, 3]);
+        values.extend(values.clone().into_iter().map(|v| -v));
+        values.push(f64::NAN);
+        for v in values {
+            assert_eq!(floor_i64(v), v.floor() as i64, "{v:e}");
+        }
     }
 
     #[test]
