@@ -159,6 +159,63 @@ pub struct DetectorCheckpoint {
     pub groups: Vec<BoundaryGroup>,
 }
 
+impl DetectorCheckpoint {
+    /// Checks the checkpoint against the topology it was taken on (dead
+    /// slots isolated, as the detector sees them): every per-slot vector
+    /// has one entry per slot, every group member is a slot, and the
+    /// state the candidate flags and the topology determine agrees with
+    /// them — fragment sizes, boundary flags, groups, and each degenerate
+    /// slot's zero ball count and policy candidate flag. The candidate
+    /// flags themselves are trusted: checking them would embed every
+    /// frame again. Costs one TTL-scoped flood per candidate.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first field that disagrees.
+    pub fn check(&self, topology: &Topology) -> Result<(), String> {
+        let n = topology.len();
+        for (what, len) in [
+            ("candidates", self.candidates.len()),
+            ("degenerate", self.degenerate.len()),
+            ("balls", self.balls.len()),
+            ("fragments", self.fragments.len()),
+            ("boundary", self.boundary.len()),
+        ] {
+            if len != n {
+                return Err(format!("detector {what} length {len} != snapshot length {n}"));
+            }
+        }
+        if let Some(m) = self.groups.iter().flatten().find(|&&m| m >= n) {
+            return Err(format!("group member {m} out of range for {n} slots"));
+        }
+        let (iff, candidates) = (&self.config.iff, &self.candidates);
+        let fragments = ballfit_wsn::flood::fragment_sizes(topology, iff.ttl, |i| candidates[i]);
+        let boundary: Vec<bool> =
+            (0..n).map(|i| candidates[i] && fragments[i] >= iff.theta).collect();
+        let first = |a: &[usize], b: &[usize]| (0..n).find(|&i| a[i] != b[i]);
+        if let Some(i) = first(&fragments, &self.fragments) {
+            return Err(format!(
+                "detector fragments disagree with the candidate flags at slot {i}"
+            ));
+        }
+        if let Some(i) = (0..n).find(|&i| boundary[i] != self.boundary[i]) {
+            return Err(format!("detector boundary disagrees with the fragment sizes at slot {i}"));
+        }
+        if crate::grouping::group_boundaries(topology, &boundary) != self.groups {
+            return Err("detector groups disagree with the boundary flags".to_string());
+        }
+        let degenerate_is_boundary = self.config.ubf.degenerate_is_boundary;
+        if let Some(i) = (0..n).find(|&i| {
+            self.degenerate[i] && (self.balls[i] != 0 || candidates[i] != degenerate_is_boundary)
+        }) {
+            return Err(format!(
+                "detector degenerate slot {i} disagrees with its balls or the degenerate policy"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The detector's read view of a dynamic topology: dead slots appear as
 /// isolated nodes and take the degenerate-neighborhood path, exactly as
 /// they would in a from-scratch run over the same slot space.
@@ -730,6 +787,49 @@ mod tests {
         }
         assert_eq!(revived.detection(), inc.detection());
         assert_matches_scratch(&revived, &dynamic);
+    }
+
+    /// A checkpoint the detector wrote passes [`DetectorCheckpoint::check`];
+    /// each tampered field is named.
+    #[test]
+    fn checkpoint_check_names_the_first_contradiction() {
+        let pts = box_points(5, 0.8);
+        let mut dynamic = DynamicTopology::new(&pts, 1.0);
+        let mut inc = IncrementalDetector::new(DetectorConfig::default(), &dynamic);
+        let delta = dynamic.apply(&TopologyEvent::Leave { node: 31 });
+        inc.apply(&dynamic, &delta);
+        let good = inc.checkpoint();
+        let topo = dynamic.topology();
+        assert_eq!(good.check(topo), Ok(()));
+        let n = pts.len();
+        let outsider = (0..n).find(|&i| !good.candidates[i] && good.balls[i] > 0).unwrap();
+        let member = (0..n).find(|&i| good.boundary[i]).unwrap();
+        let policy = good.config.ubf.degenerate_is_boundary;
+        let against = (0..n).find(|&i| good.candidates[i] != policy).unwrap();
+        type Tamper<'a> = &'a dyn Fn(&mut DetectorCheckpoint);
+        let tampered: [(&str, Tamper); 8] = [
+            ("fragments disagree", &|c| c.candidates[outsider] = true),
+            ("fragments disagree", &|c| c.fragments[member] += 1),
+            ("boundary disagrees", &|c| c.boundary[member] = false),
+            ("groups disagree", &|c| {
+                c.groups[0].pop();
+            }),
+            // A degenerate slot with balls, and one whose candidate flag
+            // is not the policy's.
+            ("degenerate slot", &|c| c.degenerate[outsider] = true),
+            ("degenerate slot", &|c| {
+                c.degenerate[against] = true;
+                c.balls[against] = 0;
+            }),
+            ("balls length", &|c| c.balls.truncate(10)),
+            ("group member 9999", &|c| c.groups[0].push(9_999)),
+        ];
+        for (want, tamper) in tampered {
+            let mut bad = good.clone();
+            tamper(&mut bad);
+            let err = bad.check(topo).expect_err(want);
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     #[test]

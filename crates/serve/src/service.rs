@@ -346,27 +346,11 @@ fn restore_instance(cp: &WireCheckpoint) -> Result<Instance, ServeError> {
             cp.snapshot.alive.len()
         )));
     }
-    let det = &cp.detector;
-    for (what, len) in [
-        ("candidates", det.candidates.len()),
-        ("degenerate", det.degenerate.len()),
-        ("balls", det.balls.len()),
-        ("fragments", det.fragments.len()),
-        ("boundary", det.boundary.len()),
-    ] {
-        if len != n {
-            return Err(bad(format!("detector {what} length {len} != snapshot length {n}")));
-        }
-    }
-    for group in &det.groups {
-        for &m in group {
-            if m >= n {
-                return Err(bad(format!("group member {m} out of range for {n} slots")));
-            }
-        }
-    }
     let dynamic = DynamicTopology::restore(&cp.snapshot);
-    let detector = IncrementalDetector::restore(det, Parallelism::sequential());
+    // The state derived from the candidate flags is checked against the
+    // topology; the flags themselves are trusted (`check`'s docs).
+    cp.detector.check(dynamic.topology()).map_err(bad)?;
+    let detector = IncrementalDetector::restore(&cp.detector, Parallelism::sequential());
     let mut inst = Instance {
         config: cp.config,
         dynamic,

@@ -20,7 +20,7 @@ use ballfit_netgen::model::NetworkModel;
 use ballfit_netgen::scenario::Scenario;
 use ballfit_par::Parallelism;
 use ballfit_serve::{
-    encode_request, encode_response, CreateSource, FaultKnobs, QueryKind, ServeRequest,
+    encode_request, encode_response, CreateSource, FaultKnobs, QueryKind, ServeError, ServeRequest,
     ServeResponse, Service, WireConfig, WireEvent,
 };
 use ballfit_wsn::churn::{ChurnPlan, DynamicTopology};
@@ -278,6 +278,42 @@ fn wire_checkpoint_restore_replay_matches_uninterrupted_run() {
         replay_tail.push(encode_response(&second.handle(q)));
     }
     assert_eq!(replay_tail, reference_tail, "restored replay diverged from uninterrupted run");
+}
+
+/// A checkpoint whose derived detector state contradicts its own
+/// candidate flags (one flag flipped after the service wrote it) is
+/// refused with `bad-request` naming the field, through the wire, and
+/// the service keeps serving: the original tenant's fault-free inject is
+/// still exact.
+#[test]
+fn restore_refuses_a_checkpoint_that_contradicts_its_candidate_flags() {
+    let m = model(Scenario::SolidSphere, 31);
+    let mut service = Service::sequential();
+    service.handle(&ServeRequest::Create {
+        id: "cp".to_string(),
+        source: CreateSource::Positions { positions: wire_positions(&m), range: m.radio_range() },
+        config: WireConfig { error: Some(0), ..WireConfig::default() },
+    });
+    let mut checkpoint = match service.handle(&ServeRequest::Checkpoint { id: "cp".to_string() }) {
+        ServeResponse::CheckpointTaken { checkpoint, .. } => checkpoint,
+        other => panic!("unexpected {other:?}"),
+    };
+    let slot = checkpoint.detector.candidates.iter().position(|&c| !c).expect("a non-candidate");
+    checkpoint.detector.candidates[slot] = true;
+    let line = encode_request(&ServeRequest::Restore { id: "flipped".to_string(), checkpoint });
+    match service.handle(&ballfit_serve::parse_request(&line).unwrap()) {
+        ServeResponse::Error(ServeError::BadRequest { detail }) => {
+            assert!(detail.contains("fragments disagree"), "{detail}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    let inject = ServeRequest::Inject { id: "cp".to_string(), faults: FaultKnobs::default() };
+    match service.handle(&inject) {
+        ServeResponse::Injected { exact, .. } => assert!(exact, "a fault-free inject is exact"),
+        other => panic!("unexpected {other:?}"),
+    }
+    let query = ServeRequest::Query { id: "flipped".to_string(), what: QueryKind::Boundary };
+    assert!(matches!(service.handle(&query), ServeResponse::Error(_)), "nothing was restored");
 }
 
 #[test]
