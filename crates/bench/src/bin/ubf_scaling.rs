@@ -37,9 +37,10 @@ use ballfit_netgen::model::NetworkModel;
 /// Thread-count ladder of the acceptance criterion.
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
-/// Timed repetitions per measurement; best-of is reported (the usual
-/// guard against scheduler noise on a shared machine).
-const REPS: usize = 3;
+/// Timed repetitions per measurement. Every rep's seconds are recorded;
+/// the median is the measurement and min–max its spread, so a reader can
+/// tell scaling from scheduler noise on a shared machine.
+const REPS: usize = 5;
 
 fn identical(a: &BoundaryDetection, b: &BoundaryDetection) -> bool {
     a.candidates == b.candidates
@@ -51,7 +52,7 @@ fn identical(a: &BoundaryDetection, b: &BoundaryDetection) -> bool {
 
 struct Row {
     threads: usize,
-    best_secs: f64,
+    secs: Vec<f64>,
 }
 
 fn sweep(model: &NetworkModel, cfg: DetectorConfig, label: &str, ladder: &[usize]) -> Vec<Row> {
@@ -62,7 +63,7 @@ fn sweep(model: &NetworkModel, cfg: DetectorConfig, label: &str, ladder: &[usize
     let mut rows = Vec::new();
     for &threads in ladder {
         let det = BoundaryDetector::new(cfg).with_parallelism(Parallelism::threads(threads));
-        let best = best_of(
+        let secs = timed_reps(
             || det.detect_view(&view),
             |detection| {
                 assert!(
@@ -71,23 +72,50 @@ fn sweep(model: &NetworkModel, cfg: DetectorConfig, label: &str, ladder: &[usize
                 );
             },
         );
-        eprintln!("  {label}, threads={threads}: best of {REPS} runs {best:.3}s (byte-identical)");
-        rows.push(Row { threads, best_secs: best });
+        let [min, median, max] = min_median_max(&secs);
+        eprintln!(
+            "  {label}, threads={threads}: median of {REPS} runs {median:.3}s, {min:.3}–{max:.3}s \
+             (byte-identical)"
+        );
+        rows.push(Row { threads, secs });
     }
     rows
 }
 
-/// The best wall time of `REPS` runs of `run`, in seconds; `check`
-/// inspects every run's output outside the timed region.
-fn best_of<T>(mut run: impl FnMut() -> T, mut check: impl FnMut(T)) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let output = run();
-        best = best.min(t0.elapsed().as_secs_f64());
-        check(output);
-    }
-    best
+/// The wall times of `REPS` runs of `run` in seconds, in run order;
+/// `check` inspects every run's output outside the timed region.
+fn timed_reps<T>(mut run: impl FnMut() -> T, mut check: impl FnMut(T)) -> Vec<f64> {
+    (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let output = run();
+            let elapsed = t0.elapsed().as_secs_f64();
+            check(output);
+            elapsed
+        })
+        .collect()
+}
+
+/// Min, median and max of `secs` (`REPS` is odd).
+fn min_median_max(secs: &[f64]) -> [f64; 3] {
+    let mut sorted = secs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [sorted[0], sorted[sorted.len() / 2], sorted[sorted.len() - 1]]
+}
+
+fn median(secs: &[f64]) -> f64 {
+    min_median_max(secs)[1]
+}
+
+/// Every rep's seconds, in run order, with their median, min and max.
+fn spread(secs: &[f64]) -> [(&'static str, JsonValue); 4] {
+    let [min, median, max] = min_median_max(secs);
+    [
+        ("median_secs", fixed(median, 6)),
+        ("min_secs", fixed(min, 6)),
+        ("max_secs", fixed(max, 6)),
+        ("secs", arr(secs.iter().map(|&s| fixed(s, 6)))),
+    ]
 }
 
 /// Members, own index and the f64 bits of coordinates and stress.
@@ -108,7 +136,7 @@ fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> JsonValue {
         .iter()
         .map(|&node| frame_bits(&neighborhood_frame_view(&view, node, source, k)))
         .collect();
-    let per_node_secs = best_of(
+    let per_node_secs = timed_reps(
         || nodes.iter().map(|&node| neighborhood_frame_view(&view, node, source, k)).collect(),
         |frames: Vec<_>| {
             for (node, frame) in frames.iter().enumerate() {
@@ -116,7 +144,7 @@ fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> JsonValue {
             }
         },
     );
-    let batched_secs = best_of(
+    let batched_secs = timed_reps(
         || neighborhood_frames_view(&view, &nodes, source, k),
         |frames| {
             for (node, frame) in frames.iter().enumerate() {
@@ -128,30 +156,31 @@ fn frames_row(model: &NetworkModel, cfg: DetectorConfig) -> JsonValue {
         },
     );
     let frames = reference.iter().filter(|frame| frame.is_some()).count();
+    let (per_node, batched) = (median(&per_node_secs), median(&batched_secs));
     eprintln!(
-        "  frames, threads=1: one at a time {per_node_secs:.3}s, lane groups {batched_secs:.3}s \
-         ({frames} frames, bit-identical)"
+        "  frames, threads=1: one at a time {per_node:.3}s, lane groups {batched:.3}s \
+         (medians; {frames} frames, bit-identical)"
     );
     obj([
         ("threads", 1u32.into()),
         ("config", "paper(10, 7)".into()),
         ("frames", frames.into()),
-        ("per_node_secs", fixed(per_node_secs, 6)),
-        ("batched_secs", fixed(batched_secs, 6)),
-        ("speedup", fixed(per_node_secs / batched_secs, 3)),
+        ("per_node", obj(spread(&per_node_secs))),
+        ("batched", obj(spread(&batched_secs))),
+        ("speedup", fixed(per_node / batched, 3)),
         ("bits", "identical, asserted per run".into()),
     ])
 }
 
-/// A thread ladder's rows, with speedups against its one-thread run.
+/// A thread ladder's rows, with median speedups against its one-thread
+/// run.
 fn ladder_rows(rows: &[Row]) -> JsonValue {
-    let base = rows[0].best_secs;
+    let base = median(&rows[0].secs);
     arr(rows.iter().map(|r| {
-        obj([
-            ("threads", r.threads.into()),
-            ("best_secs", fixed(r.best_secs, 6)),
-            ("speedup_vs_1", fixed(base / r.best_secs, 3)),
-        ])
+        let mut row = vec![("threads", r.threads.into())];
+        row.extend(spread(&r.secs));
+        row.push(("speedup_vs_1", fixed(base / median(&r.secs), 3)));
+        obj(row)
     }))
 }
 
@@ -177,6 +206,10 @@ fn main() {
         ("nodes", model.len().into()),
         ("edges", model.topology().edge_count().into()),
         ("reps", REPS.into()),
+        (
+            "statistic",
+            "median of reps (min and max give the spread); speedups are ratios of medians".into(),
+        ),
         ("available_parallelism", cores.into()),
         ("rows", "DetectorConfig::default (known coordinates)".into()),
         ("paper_rows", "DetectorConfig::paper(10, 7) (local-MDS frames in lane groups)".into()),
