@@ -78,10 +78,14 @@
 #                               equal the pinned reference and pass the
 #                               E20/E21 cross-checks, i.e. each result
 #                               line reads "correct": true, "failed": 0;
-#                               and the untraced scale-1e5 run's
-#                               peak_rss_mb must stay at or under 40 MB
-#                               (~27 MB since step V searches apex pairs;
-#                               a per-apex n-entry hop cache read 66 MB)
+#                               and each untraced run's peak_rss_mb must
+#                               stay at or under its bound: scale-1e5
+#                               40 MB (~27 MB since step V searches apex
+#                               pairs; a per-apex n-entry hop cache read
+#                               66 MB), paper-gallery 8 MB (5.8-6.5 MB)
+#                               and serve-churn 24 MB (18.3-18.6 MB), so
+#                               a set-up buffer cannot grow past the
+#                               op's own peak unnoticed
 #  13. committed artifacts      full runs regenerate the committed
 #                               results/ files and each must cmp equal:
 #                               robustness_sweep, chaos_sweep,
@@ -209,8 +213,12 @@ for workload in paper-gallery scale-1e5 serve-churn; do
         out="$SMOKE_DIR/perfbench_${workload}_trace$trace.txt"
         python3 perfbench/run.py --workload "$workload" --seconds 1 --trace "$trace" | tee "$out"
         rss_bound_mb=""
-        if [[ "$workload" == "scale-1e5" && "$trace" == 0 ]]; then
-            rss_bound_mb=40
+        if [[ "$trace" == 0 ]]; then
+            case "$workload" in
+                paper-gallery) rss_bound_mb=8 ;;
+                scale-1e5) rss_bound_mb=40 ;;
+                serve-churn) rss_bound_mb=24 ;;
+            esac
         fi
         tail -n 1 "$out" | python3 -c '
 import json, sys
