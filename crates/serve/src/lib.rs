@@ -19,7 +19,12 @@
 //!   `obs::summary` protocol rows.
 //! * `checkpoint` / `restore` — capture an instance (topology snapshot +
 //!   detector checkpoint + epoch counters) and revive it, on the same or
-//!   a different service, without disturbing replay identity.
+//!   a different service, without disturbing replay identity. `restore`
+//!   checks the state derived from the checkpoint's candidate flags
+//!   (fragment sizes, boundary flags, groups, degenerate slots) against
+//!   the snapshot's topology and answers `bad-request` naming the first
+//!   field that disagrees. It trusts the candidate flags themselves:
+//!   checking them would embed every frame again.
 //! * `inject` — run one fault epoch ([`ballfit::chaos::run_epoch`])
 //!   against the instance's oracle and report the watchdog verdict. The
 //!   instance needs local-MDS frames with one-hop witnesses (a config
