@@ -565,6 +565,34 @@ mod tests {
         assert_eq!(greedy_thin(&pool[..50], 0.0).len(), 50);
     }
 
+    #[test]
+    fn greedy_thin_matches_the_map_grid_reference() {
+        let mut shifts = Vec::new();
+        for (name, pool, spacings) in reference::thin_cases() {
+            for spacing in spacings {
+                let want = reference::reference_thin(&pool, spacing);
+                assert_eq!(greedy_thin(&pool, spacing), want, "{name} at spacing {spacing}");
+                let keys: Vec<[i64; 3]> = pool.iter().map(|&p| thin_key(p, spacing)).collect();
+                let cells = CellBox::new(&keys).unwrap();
+                let count = cells.len() as u64;
+                assert!(count <= MAX_CELLS_PER_POINT * pool.len() as u64, "{name}: {count} cells");
+                shifts.push(cells.shift);
+            }
+        }
+        assert!(shifts.contains(&0) && shifts.iter().any(|&s| s >= 2), "{shifts:?}");
+        assert!(greedy_thin(&[], 0.5).is_empty());
+        // Saturated keys: a key box of 2^64 cells per axis still gets a
+        // bounded grid.
+        let far = [
+            Vec3::new(1e300, 0.0, 0.0),
+            Vec3::new(-1e300, 0.0, 0.0),
+            Vec3::new(f64::MAX, f64::MIN, 0.0),
+            Vec3::ZERO,
+            Vec3::new(0.5, 0.0, 0.0),
+        ];
+        assert_eq!(greedy_thin(&far, 1.0), vec![0, 1, 2, 3]);
+    }
+
     /// The inline floor against the library's, at signed zeros, halves,
     /// the edges of exact integers (2⁵²) and of `i64` (2⁶³), infinities,
     /// NaN and subnormals.

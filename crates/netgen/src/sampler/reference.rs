@@ -2,8 +2,9 @@
 //! blockers, used only by tests: a fresh [`greedy_thin`] per bisection
 //! round, then a trim whose nearest-neighbour searches walk a `BTreeMap`
 //! [`SpatialGrid`]; and the `BTreeMap` grid [`greedy_thin`] searched
-//! before its flat grid. The tests below pin [`poisson_select`],
-//! [`greedy_thin`] and [`Thinning`]'s rounds to them bit for bit.
+//! before its flat grid. The tests below pin [`poisson_select`] and
+//! [`Thinning`]'s rounds to them bit for bit; the sampler's own tests pin
+//! [`greedy_thin`] to [`reference_thin`] over [`thin_cases`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,7 +62,7 @@ fn reference_select(pool: &[Vec3], target: usize) -> (Vec<Vec3>, f64) {
 }
 
 /// [`greedy_thin`] over a `BTreeMap` of cells, with the library `floor`.
-fn reference_thin(pool: &[Vec3], spacing: f64) -> Vec<usize> {
+pub(super) fn reference_thin(pool: &[Vec3], spacing: f64) -> Vec<usize> {
     // Exact sentinel, as in `greedy_thin`.
     // ballfit-lint: allow(float-safety)
     if spacing == 0.0 {
@@ -126,7 +127,7 @@ fn chain() -> Vec<Vec3> {
 
 /// Seeded pools that stress the thinning grid's keys and bounds, each
 /// with the spacings to thin it at.
-fn thin_cases() -> Vec<(&'static str, Vec<Vec3>, Vec<f64>)> {
+pub(super) fn thin_cases() -> Vec<(&'static str, Vec<Vec3>, Vec<f64>)> {
     let ball = sample_interior(
         &SphereSdf::new(Vec3::ZERO, 2.0),
         3000,
@@ -184,34 +185,6 @@ fn thin_cases() -> Vec<(&'static str, Vec<Vec3>, Vec<f64>)> {
         ("key box dwarfs the pool", clusters, vec![0.05, 0.2]),
         ("sparse line", line, vec![0.3, 0.5, 1.0]),
     ]
-}
-
-#[test]
-fn greedy_thin_matches_the_map_grid_reference() {
-    let mut shifts = Vec::new();
-    for (name, pool, spacings) in thin_cases() {
-        for spacing in spacings {
-            let want = reference_thin(&pool, spacing);
-            assert_eq!(greedy_thin(&pool, spacing), want, "{name} at spacing {spacing}");
-            let keys: Vec<[i64; 3]> = pool.iter().map(|&p| thin_key(p, spacing)).collect();
-            let cells = CellBox::new(&keys).unwrap();
-            let count = cells.len() as u64;
-            assert!(count <= MAX_CELLS_PER_POINT * pool.len() as u64, "{name}: {count} cells");
-            shifts.push(cells.shift);
-        }
-    }
-    assert!(shifts.contains(&0) && shifts.iter().any(|&s| s >= 2), "{shifts:?}");
-    assert!(greedy_thin(&[], 0.5).is_empty());
-    // Saturated keys: a key box of 2^64 cells per axis still gets a
-    // bounded grid.
-    let far = [
-        Vec3::new(1e300, 0.0, 0.0),
-        Vec3::new(-1e300, 0.0, 0.0),
-        Vec3::new(f64::MAX, f64::MIN, 0.0),
-        Vec3::ZERO,
-        Vec3::new(0.5, 0.0, 0.0),
-    ];
-    assert_eq!(greedy_thin(&far, 1.0), vec![0, 1, 2, 3]);
 }
 
 /// Every round of one [`Thinning`] keeps [`greedy_thin`]'s points, at
